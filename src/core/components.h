@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "src/core/frequent.h"
 #include "src/graph/builder.h"
 #include "src/graph/csr.h"
 #include "src/graph/types.h"
@@ -24,11 +25,35 @@ inline NodeId CountComponents(const std::vector<NodeId>& labels) {
       [&](size_t v) { return labels[v] == static_cast<NodeId>(v); }));
 }
 
-// Size of each component, indexed by its label (0 for non-labels).
-inline std::vector<NodeId> ComponentSizes(const std::vector<NodeId>& labels) {
+// Size of each component, indexed by its label (0 for non-labels), and,
+// through `num_components`, the CountComponents value, from one blocked
+// pass. Most vertices of a real graph share the giant component's label,
+// so a per-vertex FetchAdd on its size would make every worker contend for
+// one cache line. The most frequent label is estimated once by sampling;
+// each block counts it locally and adds the total with one FetchAdd, while
+// other labels keep a per-vertex FetchAdd (spread over many lines). The
+// estimate only decides where additions happen, so sizes are always exact.
+inline std::vector<NodeId> ComponentSizes(const std::vector<NodeId>& labels,
+                                          NodeId* num_components = nullptr) {
   std::vector<NodeId> sizes(labels.size(), 0);
-  ParallelFor(0, labels.size(),
-              [&](size_t v) { FetchAdd<NodeId>(&sizes[labels[v]], 1); });
+  const NodeId frequent = IdentifyFrequentSampled(labels).label;
+  NodeId roots = 0;
+  ParallelForBlocked(0, labels.size(), [&](size_t lo, size_t hi) {
+    NodeId frequent_count = 0;
+    NodeId block_roots = 0;
+    for (size_t v = lo; v < hi; ++v) {
+      const NodeId label = labels[v];
+      if (label == static_cast<NodeId>(v)) ++block_roots;
+      if (label == frequent) {
+        ++frequent_count;
+      } else {
+        FetchAdd<NodeId>(&sizes[label], 1);
+      }
+    }
+    if (frequent_count != 0) FetchAdd(&sizes[frequent], frequent_count);
+    if (block_roots != 0) FetchAdd(&roots, block_roots);
+  });
+  if (num_components != nullptr) *num_components = roots;
   return sizes;
 }
 

@@ -34,12 +34,12 @@ uint64_t SteadyNowUs() {
           .count());
 }
 
-// Precomputes everything the read surface serves (count, sizes) so every
-// query against the published block is plain array indexing.
+// Precomputes everything the read surface serves (count, sizes) in one
+// pass over the labels, so every query against the published block is
+// plain array indexing.
 internal::SnapshotData* MakeSnapshotData(std::vector<NodeId> labels) {
   auto* data = new internal::SnapshotData();
-  data->num_components = CountComponents(labels);
-  data->sizes = ComponentSizes(labels);
+  data->sizes = ComponentSizes(labels, &data->num_components);
   data->labels = std::move(labels);
   return data;
 }

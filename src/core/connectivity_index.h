@@ -205,8 +205,10 @@ class Connectivity {
     // batch *boundary* (never a half-applied batch), skipped publications
     // tick stats::ReadServing().publication_skips, and Flush() or the
     // next Erase forces the held-back state out. The write-heavy-ingest
-    // knob: at high batch rates the per-batch Θ(n) copy dominates, and
-    // most published snapshots are replaced before any reader pins them.
+    // knob: a publication is Θ(n) (copying the labels and one sizes pass
+    // over them), which on sparse batches costs more than the batch's
+    // own union-find work, and most published snapshots are replaced
+    // before any reader pins them.
     Spec& PublishEvery(uint32_t k) {
       publish_every_ = k == 0 ? 1 : k;
       return *this;
@@ -298,10 +300,14 @@ class Connectivity {
   bool streaming() const;
 
   // Applies one batch of edge insertions and answers the batched
-  // connectivity queries (one byte per query: 1 = connected after this
-  // batch). Batches serialize against each other; under kSnapshot serving
-  // the post-batch labeling is published before Insert returns, so every
-  // subsequent read sees it.
+  // connectivity queries, one byte per query. Answers follow §3.5's
+  // linearizable contract, not a post-batch one: for Type (i) variants the
+  // queries run concurrently with the batch's unions, so a pair connected
+  // before the batch answers 1 and a pair disconnected after it answers 0,
+  // while a pair the batch itself connects may answer either. Batches
+  // serialize against each other; under kSnapshot serving the post-batch
+  // labeling is published before Insert returns, so every subsequent read
+  // sees it.
   std::vector<uint8_t> Insert(const std::vector<Edge>& updates,
                               const std::vector<Edge>& queries = {});
 

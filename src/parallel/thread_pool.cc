@@ -113,6 +113,14 @@ void ThreadPool::RunOnWorkers(size_t num_tasks,
     fn(0);
     return;
   }
+  // The pool has one job slot. A second external caller that finds it taken
+  // runs the whole loop itself, exactly as a nested call does above, rather
+  // than overwriting the slot and waiting for a job that never finishes.
+  std::unique_lock<std::mutex> submit(submit_mu_, std::try_to_lock);
+  if (!submit.owns_lock()) {
+    fn(0);
+    return;
+  }
   {
     std::unique_lock<std::mutex> lock(mu_);
     job_ = &fn;

@@ -9,7 +9,9 @@
 //
 // Nested ParallelFor calls from inside a worker run sequentially (the usual
 // flattening rule for simple pools), which keeps the scheduler deadlock-free
-// without continuation stealing.
+// without continuation stealing. Concurrent calls from several external
+// threads are safe: one of them owns the workers and the others run their
+// loops sequentially on their own threads.
 
 #ifndef CONNECTIT_PARALLEL_THREAD_POOL_H_
 #define CONNECTIT_PARALLEL_THREAD_POOL_H_
@@ -51,7 +53,10 @@ class ThreadPool {
   void Rebind();
 
   // Runs fn(worker_id) on `num_tasks` workers (including the caller) and
-  // waits for all of them. fn must be safe to invoke concurrently.
+  // waits for all of them. fn must be safe to invoke concurrently. A nested
+  // call, or an external call made while another thread's job occupies the
+  // pool, runs only fn(0) on the calling thread, so fn(0) alone must finish
+  // the job (the self-scheduling loops below and ParallelForNodeAffine do).
   void RunOnWorkers(size_t num_tasks, const std::function<void(size_t)>& fn);
 
   // True when the calling thread is one of the pool's workers.
@@ -72,6 +77,7 @@ class ThreadPool {
   size_t bound_nodes_ = 1;  // topology node count captured at StartThreads
   std::vector<std::thread> threads_;
 
+  std::mutex submit_mu_;  // held by the one external caller owning the job
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

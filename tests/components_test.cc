@@ -6,7 +6,9 @@
 #include "src/algo/verify.h"
 #include "src/core/components.h"
 #include "src/core/connectit.h"
+#include "src/core/frequent.h"
 #include "src/graph/generators.h"
+#include "src/parallel/thread_pool.h"
 #include "tests/test_graphs.h"
 
 namespace connectit {
@@ -38,6 +40,68 @@ TEST(Components, SizesSumToN) {
       EXPECT_GT(sizes[v], 0u);
     }
   }
+}
+
+// ComponentSizes counts the sampled frequent label per block and every
+// other label per vertex; on any labeling its sizes and component count must
+// equal a sequential histogram. Runs on a 4-worker pool so the blocks are
+// really concurrent even on a 1-cpu runner.
+class FusedSizesPass : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    original_workers_ = NumWorkers();
+    SetNumWorkers(4);
+  }
+  void TearDown() override { SetNumWorkers(original_workers_); }
+
+  static void ExpectExact(const std::vector<NodeId>& labels) {
+    std::vector<NodeId> expected(labels.size(), 0);
+    NodeId expected_count = 0;
+    for (size_t v = 0; v < labels.size(); ++v) {
+      ++expected[labels[v]];
+      if (labels[v] == static_cast<NodeId>(v)) ++expected_count;
+    }
+    NodeId count = kInvalidNode;
+    EXPECT_EQ(ComponentSizes(labels, &count), expected);
+    EXPECT_EQ(count, expected_count);
+    EXPECT_EQ(count, CountComponents(labels));
+  }
+
+ private:
+  size_t original_workers_ = 1;
+};
+
+TEST_F(FusedSizesPass, OneGiantComponent) {
+  ExpectExact(LabelsOf(GenerateGrid(128, 128)));
+}
+
+TEST_F(FusedSizesPass, TwoEqualGiants) {
+  // Interleaved so every block holds both; the sampled label covers half.
+  std::vector<NodeId> labels(6000);
+  for (NodeId v = 0; v < labels.size(); ++v) labels[v] = v % 2;
+  ExpectExact(labels);
+}
+
+TEST_F(FusedSizesPass, AllSingletons) {
+  std::vector<NodeId> labels(5000);
+  for (NodeId v = 0; v < labels.size(); ++v) labels[v] = v;
+  ExpectExact(labels);
+}
+
+TEST_F(FusedSizesPass, EmptyAndOneVertex) {
+  ExpectExact({});
+  ExpectExact({0});
+}
+
+TEST_F(FusedSizesPass, WrongFrequentGuessStaysExact) {
+  // The largest component holds 0.05% of the vertices, so the 1024 samples
+  // almost never see it and the estimate names some other label.
+  constexpr NodeId kN = 1u << 18;
+  constexpr NodeId kGiant = kN - 1;
+  std::vector<NodeId> labels(kN);
+  for (NodeId v = 0; v < kN; ++v) labels[v] = v % 2000 == 1 ? kGiant : v;
+  ASSERT_NE(IdentifyFrequentSampled(labels).label, kGiant);
+  ExpectExact(labels);
 }
 
 TEST(Components, DenseIdsAreDenseAndConsistent) {

@@ -318,6 +318,41 @@ TEST(Connectivity, ConcurrentReadsDuringIngest) {
             CanonicalizeLabels(full.Labels()));
 }
 
+// Two indexes driven from two threads share the process-wide pool: Build's
+// pass, every publication (count and sizes) and every Insert batch issue
+// parallel loops concurrently. Both must finish with the right labeling.
+TEST(Connectivity, TwoInstancesOnTwoThreads) {
+  constexpr int kBatches = 50;
+  auto drive = [](uint64_t seed, std::vector<NodeId>* labels,
+                  std::vector<NodeId>* truth) {
+    const NodeId n = 1u << 13;
+    const EdgeList stream = GenerateRmatEdges(n, 2ull * n, seed);
+    const size_t bulk = stream.size() / 2;
+    const size_t batch = (stream.size() - bulk) / kBatches + 1;
+    EdgeList base;
+    base.num_nodes = n;
+    base.edges.assign(stream.edges.begin(), stream.edges.begin() + bulk);
+    Connectivity index;
+    index.Build(GraphHandle(base)).Stream();
+    for (size_t start = bulk; start < stream.size(); start += batch) {
+      const size_t end = std::min(start + batch, stream.size());
+      index.Insert(std::vector<Edge>(stream.edges.begin() + start,
+                                     stream.edges.begin() + end));
+    }
+    *labels = index.Labels();
+    *truth = SequentialComponents(stream);
+  };
+  std::vector<NodeId> labels[2];
+  std::vector<NodeId> truth[2];
+  std::thread first(drive, 5, &labels[0], &truth[0]);
+  std::thread second(drive, 6, &labels[1], &truth[1]);
+  first.join();
+  second.join();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(SamePartition(labels[i], truth[i])) << "instance " << i;
+  }
+}
+
 TEST(ConnectivityDeathTest, LifecycleGuardsDie) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(Connectivity().Stream(), "requires Build");

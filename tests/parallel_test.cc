@@ -5,11 +5,13 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/parallel/atomics.h"
+#include "src/parallel/numa.h"
 #include "src/parallel/primitives.h"
 #include "src/parallel/random.h"
 #include "src/parallel/thread_pool.h"
@@ -71,6 +73,43 @@ TEST(ThreadPool, ResizeWorks) {
   EXPECT_EQ(count.load(), 1000);
   SetNumWorkers(original);
   EXPECT_EQ(NumWorkers(), original);
+}
+
+// Several external threads share the one pool and its single job slot.
+// Each must see its own loops complete with every index visited exactly
+// once, and none may hang waiting for a job another caller replaced. The
+// emulated 2-node topology sends ParallelForNodeAffine through the pool
+// too, so its per-node queues must drain when a caller runs them alone.
+TEST(ThreadPool, ConcurrentExternalCallersAllComplete) {
+  const size_t original = NumWorkers();
+  NumaTopology::OverrideNodes(2);
+  SetNumWorkers(4);
+  ThreadPool::Get().Rebind();
+  constexpr size_t kN = 5000;
+  constexpr int kRounds = 20;
+  for (const size_t num_callers : {size_t{2}, size_t{5}, size_t{8}}) {
+    std::vector<std::thread> callers;
+    for (size_t t = 0; t < num_callers; ++t) {
+      callers.emplace_back([t] {
+        std::vector<std::atomic<int>> hits(kN);
+        for (int round = 1; round <= kRounds; ++round) {
+          ParallelFor(0, kN, [&](size_t i) { hits[i].fetch_add(1); });
+          ParallelForBlocked(0, kN, [&](size_t lo, size_t hi) {
+            for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+          });
+          ParallelForNodeAffine(kN, [&](size_t i) { hits[i].fetch_add(1); });
+          for (size_t i = 0; i < kN; ++i) {
+            ASSERT_EQ(hits[i].load(), 3 * round)
+                << "caller " << t << " round " << round << " index " << i;
+          }
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+  }
+  NumaTopology::OverrideNodes(0);
+  SetNumWorkers(original);
+  ThreadPool::Get().Rebind();
 }
 
 TEST(ParallelReduce, SumAndMax) {
