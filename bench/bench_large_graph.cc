@@ -22,8 +22,6 @@
 #include "src/graph/compressed.h"
 #include "src/graph/container.h"
 #include "src/graph/graph_handle.h"
-#include "src/parallel/numa.h"
-#include "src/stats/counters.h"
 
 int main(int argc, char** argv) {
   using namespace connectit;
@@ -84,38 +82,6 @@ int main(int argc, char** argv) {
   entries.push_back(
       {"ConnectIt (LDD sampling)",
        bench::TimeIt([&] { fastest->run(graph, SamplingConfig::Ldd()); })});
-
-  // Memory-placement axis: the default variant's NumaReplicated twin, flat
-  // vs replicated on the same graph. On a single-node topology the twin
-  // falls back to flat (the locality counters stay at 0); emulate nodes
-  // with CONNECTIT_NUMA_NODES=k to exercise the replica paths.
-  {
-    VariantDescriptor twin = fastest->descriptor;
-    twin.placement = PlacementOption::kNumaReplicated;
-    if (const Variant* replicated = FindVariant(twin)) {
-      const stats::LocalitySnapshot l0 = stats::ReadLocality();
-      entries.push_back(
-          {"ConnectIt (NUMA-replicated, no sampling)",
-           bench::TimeIt(
-               [&] { replicated->run(graph, SamplingConfig::None()); })});
-      entries.push_back(
-          {"ConnectIt (NUMA-replicated, k-out)",
-           bench::TimeIt(
-               [&] { replicated->run(graph, SamplingConfig::KOut()); })});
-      const stats::LocalitySnapshot l1 = stats::ReadLocality();
-      std::printf(
-          "NUMA: %zu node(s) (%s); locality over replicated runs: "
-          "%llu local hint hops, %llu cross-node root hops, "
-          "%llu hint compressions\n",
-          NumaTopology::Get().num_nodes(), NumaTopology::Get().backend(),
-          static_cast<unsigned long long>(l1.local_find_depth -
-                                          l0.local_find_depth),
-          static_cast<unsigned long long>(l1.cross_node_find_depth -
-                                          l0.cross_node_find_depth),
-          static_cast<unsigned long long>(l1.cross_node_compressions -
-                                          l0.cross_node_compressions));
-    }
-  }
 
   double best = 1e300;
   for (const Entry& e : entries) best = std::min(best, e.time);

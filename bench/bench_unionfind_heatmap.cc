@@ -91,9 +91,7 @@ int main() {
   }
   std::printf("representation: %s\n",
               suite.empty() ? "csr" : suite.front().handle.representation_name());
-  // The registry's NumaReplicated twins contribute their own
-  // ";NumaReplicated" column groups. On one node they fall back to the
-  // flat algorithm; set CONNECTIT_NUMA_NODES=k to emulate the replicas.
+  // The pool's workers are bound to this topology (src/parallel/numa.h).
   std::printf("numa: %zu node(s), backend=%s\n",
               NumaTopology::Get().num_nodes(), NumaTopology::Get().backend());
   RunHeatmap(suite, SamplingOption::kNone,

@@ -46,17 +46,14 @@
 //               see src/core/dynamic_forest.h). Prints the erase counters
 //               and verifies the final labeling against a full static run
 //               over the surviving edges.
-// --numa=<off|auto|k>: memory-placement mode (src/parallel/numa.h).
+// --numa=<off|auto|k>: NUMA topology mode (src/parallel/numa.h).
 //               off forces a single-node topology; auto re-detects
 //               (sysfs, or CONNECTIT_NUMA_NODES for an emulated
 //               partition); a number k emulates k nodes. The thread pool
-//               rebinds its workers to the chosen topology, sharded
-//               partitions place shard s on node s % k, and a flat
-//               union-find variant with a registered NumaReplicated twin
-//               is upgraded to it, so the printed locality counters
-//               (local hint hops / cross-node root hops / hint
-//               compressions) reflect the replicated parent arrays. Works
-//               in static and --stream modes.
+//               rebinds its workers to the chosen topology and sharded
+//               partitions place shard s on node s % k; the topology and
+//               the shard->node map are printed. Works in static and
+//               --stream modes.
 // The variant space is identical for every representation; the registry
 // dispatches on the GraphHandle.
 //
@@ -155,38 +152,6 @@ void PrintShardPlacement(const ShardedGraph& sharded) {
               sharded.placement_nodes(), placement.c_str());
 }
 
-void PrintLocality(const stats::LocalitySnapshot& before) {
-  const stats::LocalitySnapshot after = stats::ReadLocality();
-  std::printf(
-      "locality: %llu local hint hops, %llu cross-node root hops, "
-      "%llu hint compressions\n",
-      static_cast<unsigned long long>(after.local_find_depth -
-                                      before.local_find_depth),
-      static_cast<unsigned long long>(after.cross_node_find_depth -
-                                      before.cross_node_find_depth),
-      static_cast<unsigned long long>(after.cross_node_compressions -
-                                      before.cross_node_compressions));
-}
-
-// With --numa active on a multi-node topology, a flat union-find variant
-// whose NumaReplicated twin is registered is upgraded to the twin, so the
-// run actually exercises the replicated parent arrays.
-std::string MaybeReplicatedTwin(const std::string& variant_name) {
-  const Variant* variant = FindVariant(variant_name);
-  if (variant == nullptr) return variant_name;  // Spec::Algorithm will die
-  if (variant->family != AlgorithmFamily::kUnionFind ||
-      variant->descriptor.placement != PlacementOption::kFlat) {
-    return variant_name;
-  }
-  VariantDescriptor twin = variant->descriptor;
-  twin.placement = PlacementOption::kNumaReplicated;
-  const Variant* replicated = FindVariant(twin);
-  if (replicated == nullptr) return variant_name;  // e.g. the JTB variants
-  std::printf("numa: upgraded %s -> %s\n", variant_name.c_str(),
-              replicated->name.c_str());
-  return replicated->name;
-}
-
 double Seconds(const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -202,7 +167,6 @@ int RunStreamMode(GraphRepresentation repr, size_t num_shards,
                   const std::string& sampling_name, size_t num_batches,
                   size_t batch_size, size_t num_erase, bool report_numa) {
   const stats::ServingSnapshot serving_before = stats::ReadServing();
-  const stats::LocalitySnapshot locality_before = stats::ReadLocality();
   Connectivity index(spec);
   if (!index.variant().supports_streaming) {
     std::fprintf(stderr, "error: %s does not support streaming (try --list)\n",
@@ -366,7 +330,6 @@ int RunStreamMode(GraphRepresentation repr, size_t num_shards,
         static_cast<unsigned long long>(s.label_refreshes -
                                         serving_before.label_refreshes));
   }
-  if (report_numa) PrintLocality(locality_before);
 
   // The handoff invariant: seeded streaming over the tail must land on the
   // same partition as a static pass over the whole edge set — minus the
@@ -557,10 +520,8 @@ int main(int argc, char** argv) {
   }
 
   if (report_numa) PrintTopology();
-  std::string variant_name = (argc > arg) ? argv[arg] : DefaultVariant().name;
-  if (report_numa && NumaTopology::Get().num_nodes() > 1) {
-    variant_name = MaybeReplicatedTwin(variant_name);
-  }
+  const std::string variant_name =
+      (argc > arg) ? argv[arg] : DefaultVariant().name;
   const std::string sampling_name = (argc > arg + 1) ? argv[arg + 1] : "kout";
   // Spec::Algorithm parses the name into a typed descriptor; an unknown
   // name aborts with the closest registered name (try --list).
@@ -619,7 +580,6 @@ int main(int argc, char** argv) {
       : (repr == GraphRepresentation::kMapped)
           ? MappedCsrMaterializations()
           : CooCsrMaterializations();
-  const stats::LocalitySnapshot locality_before = stats::ReadLocality();
   Connectivity index(spec);
   const auto t0 = std::chrono::steady_clock::now();
   index.Build(handle);
@@ -649,7 +609,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(MappedCsrMaterializations() -
                                                 builds_before));
   }
-  if (report_numa) PrintLocality(locality_before);
   std::printf("components: %u\n", num_components);
   const auto histogram = ComponentSizeHistogram(labels);
   std::printf("largest component: %u vertices\n",

@@ -26,7 +26,6 @@
 #define CONNECTIT_CORE_CONNECTIT_H_
 
 #include <numeric>
-#include <type_traits>
 #include <vector>
 
 #include "src/core/frequent.h"
@@ -41,18 +40,8 @@
 #include "src/parallel/primitives.h"
 #include "src/sv/shiloach_vishkin.h"
 #include "src/unionfind/dsu.h"
-#include "src/unionfind/numa_dsu.h"
 
 namespace connectit {
-
-// Selects the parent-array implementation for the placement axis: the flat
-// shared array, or the NUMA-replicated wrapper (identical final labelings;
-// see src/unionfind/numa_dsu.h).
-template <UniteOption kUnite, FindOption kFind, SpliceOption kSplice,
-          PlacementOption kPlace>
-using DsuFor = std::conditional_t<kPlace == PlacementOption::kFlat,
-                                  Dsu<kUnite, kFind, kSplice>,
-                                  NumaDsu<kUnite, kFind, kSplice>>;
 
 // skip[v] = 1 iff v carried the frequent label after sampling. Empty when
 // unsampled.
@@ -148,11 +137,10 @@ struct SpanningForestResult {
 // Union-find connectivity on COO (paper §3.3.1), honoring the full
 // unite/find/splice option space of Algorithms 10-14.
 template <UniteOption kUnite, FindOption kFind,
-          SpliceOption kSplice = SpliceOption::kNone,
-          PlacementOption kPlace = PlacementOption::kFlat>
+          SpliceOption kSplice = SpliceOption::kNone>
 std::vector<NodeId> ConnectivityOnEdges(const EdgeList& edges) {
   std::vector<NodeId> labels = IdentityLabels(edges.num_nodes);
-  DsuFor<kUnite, kFind, kSplice, kPlace> dsu(labels.data(), edges.num_nodes);
+  Dsu<kUnite, kFind, kSplice> dsu(labels.data(), edges.num_nodes);
   ParallelFor(0, edges.size(), [&](size_t i) {
     dsu.Unite(edges.edges[i].u, edges.edges[i].v);
   });
@@ -164,14 +152,13 @@ std::vector<NodeId> ConnectivityOnEdges(const EdgeList& edges) {
 // edge-centric form): the winning Unite records the responsible edge into
 // the hooked root's slot.
 template <UniteOption kUnite, FindOption kFind,
-          SpliceOption kSplice = SpliceOption::kNone,
-          PlacementOption kPlace = PlacementOption::kFlat>
+          SpliceOption kSplice = SpliceOption::kNone>
 SpanningForestResult SpanningForestOnEdges(const EdgeList& edges) {
   const NodeId n = edges.num_nodes;
   SpanningForestResult result;
   result.labels = IdentityLabels(n);
   std::vector<Edge> slots(n, kEmptySlot);
-  DsuFor<kUnite, kFind, kSplice, kPlace> dsu(result.labels.data(), n);
+  Dsu<kUnite, kFind, kSplice> dsu(result.labels.data(), n);
   ParallelFor(0, edges.size(), [&](size_t i) {
     const Edge e = edges.edges[i];
     const NodeId hooked = dsu.Unite(e.u, e.v);
@@ -242,11 +229,9 @@ inline std::vector<NodeId> ConnectivityOnEdgesStergiou(const EdgeList& edges) {
 // propagation) deliberately omit them.
 
 // Union-find finish (paper §3.3.1, Algorithms 10-14; 144 variants across
-// unite x find x splice, plus the memory-placement axis). Runs natively on
-// CSR, compressed, and COO.
+// unite x find x splice). Runs natively on CSR, compressed, and COO.
 template <UniteOption kUnite, FindOption kFind,
-          SpliceOption kSplice = SpliceOption::kNone,
-          PlacementOption kPlace = PlacementOption::kFlat>
+          SpliceOption kSplice = SpliceOption::kNone>
 struct UnionFindFinish {
   static constexpr bool kRootBased = true;
 
@@ -254,7 +239,7 @@ struct UnionFindFinish {
   static void FinishComponents(const GraphT& graph,
                                std::vector<NodeId>& labels, NodeId frequent) {
     const NodeId n = graph.num_nodes();
-    DsuFor<kUnite, kFind, kSplice, kPlace> dsu(labels.data(), n);
+    Dsu<kUnite, kFind, kSplice> dsu(labels.data(), n);
     const std::vector<uint8_t> skip = MakeSkipMask(labels, frequent);
     if (skip.empty()) {
       graph.MapArcs([&](NodeId u, NodeId v) {
@@ -275,7 +260,7 @@ struct UnionFindFinish {
   static void FinishForest(const GraphT& graph, std::vector<NodeId>& labels,
                            std::vector<Edge>& slots, NodeId frequent) {
     const NodeId n = graph.num_nodes();
-    DsuFor<kUnite, kFind, kSplice, kPlace> dsu(labels.data(), n);
+    Dsu<kUnite, kFind, kSplice> dsu(labels.data(), n);
     const std::vector<uint8_t> skip = MakeSkipMask(labels, frequent);
     auto apply = [&](NodeId u, NodeId v) {
       const NodeId hooked = dsu.Unite(u, v);
@@ -295,10 +280,10 @@ struct UnionFindFinish {
   }
 
   static std::vector<NodeId> ComponentsOnCoo(const EdgeList& edges) {
-    return ConnectivityOnEdges<kUnite, kFind, kSplice, kPlace>(edges);
+    return ConnectivityOnEdges<kUnite, kFind, kSplice>(edges);
   }
   static SpanningForestResult ForestOnCoo(const EdgeList& edges) {
-    return SpanningForestOnEdges<kUnite, kFind, kSplice, kPlace>(edges);
+    return SpanningForestOnEdges<kUnite, kFind, kSplice>(edges);
   }
 };
 

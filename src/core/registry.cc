@@ -104,30 +104,25 @@ std::unique_ptr<StreamingConnectivity> MakeSeededStreaming(
 
 // ---- union-find registration ----
 
-template <UniteOption kU, FindOption kF, SpliceOption kS,
-          PlacementOption kP = PlacementOption::kFlat>
+template <UniteOption kU, FindOption kF, SpliceOption kS>
 Variant MakeUfVariant() {
   Variant v;
-  v.descriptor = VariantDescriptor::UnionFind(kU, kF, kS, kP);
+  v.descriptor = VariantDescriptor::UnionFind(kU, kF, kS);
   v.name = v.descriptor.ToString();
   v.group = std::string(ToString(kU));
   if constexpr (kS != SpliceOption::kNone) {
     v.group += ';';
     v.group += ToString(kS);
   }
-  if constexpr (kP != PlacementOption::kFlat) {
-    v.group += ';';
-    v.group += ToString(kP);
-  }
   v.find_name = std::string(ToString(kF));
   v.family = AlgorithmFamily::kUnionFind;
   v.root_based = true;
   v.supports_streaming = true;
-  using Finish = UnionFindFinish<kU, kF, kS, kP>;
+  using Finish = UnionFindFinish<kU, kF, kS>;
   v.run = RunOnHandle<Finish>;
   v.run_forest = RunForestOnHandle<Finish>;
   v.make_streaming =
-      MakeSeededStreaming<Finish, UnionFindStreaming<kU, kF, kS, kP>>;
+      MakeSeededStreaming<Finish, UnionFindStreaming<kU, kF, kS>>;
   return v;
 }
 
@@ -153,15 +148,10 @@ Variant MakeLtVariant() {
 std::vector<Variant> BuildRegistry() {
   std::vector<Variant> variants;
 
-  // Union-find: Async / Hooks / Early x 4 find options. Every min-based
-  // combination is registered in both placements (flat and NumaReplicated;
-  // IsValidPlacement excludes JTB from the replicated axis).
-#define CONNECTIT_UF(U, F)                                                  \
-  variants.push_back(                                                       \
-      MakeUfVariant<UniteOption::U, FindOption::F, SpliceOption::kNone>()); \
-  variants.push_back(                                                       \
-      MakeUfVariant<UniteOption::U, FindOption::F, SpliceOption::kNone,     \
-                    PlacementOption::kNumaReplicated>());
+  // Union-find: Async / Hooks / Early x 4 find options.
+#define CONNECTIT_UF(U, F) \
+  variants.push_back(      \
+      MakeUfVariant<UniteOption::U, FindOption::F, SpliceOption::kNone>());
   CONNECTIT_UF(kAsync, kNaive)
   CONNECTIT_UF(kAsync, kSplit)
   CONNECTIT_UF(kAsync, kHalve)
@@ -175,7 +165,7 @@ std::vector<Variant> BuildRegistry() {
   CONNECTIT_UF(kEarly, kHalve)
   CONNECTIT_UF(kEarly, kCompress)
 #undef CONNECTIT_UF
-  // JTB: FindNaive ("FindSimple") and two-try splitting; flat only.
+  // JTB: FindNaive ("FindSimple") and two-try splitting.
   variants.push_back(MakeUfVariant<UniteOption::kJtb, FindOption::kNaive,
                                    SpliceOption::kNone>());
   variants.push_back(MakeUfVariant<UniteOption::kJtb,
@@ -183,12 +173,9 @@ std::vector<Variant> BuildRegistry() {
                                    SpliceOption::kNone>());
 
   // Rem's algorithms: find x splice, excluding FindCompress+SpliceAtomic.
-#define CONNECTIT_REM(U, F, S)                                          \
-  variants.push_back(                                                   \
-      MakeUfVariant<UniteOption::U, FindOption::F, SpliceOption::S>()); \
-  variants.push_back(                                                   \
-      MakeUfVariant<UniteOption::U, FindOption::F, SpliceOption::S,     \
-                    PlacementOption::kNumaReplicated>());
+#define CONNECTIT_REM(U, F, S) \
+  variants.push_back(          \
+      MakeUfVariant<UniteOption::U, FindOption::F, SpliceOption::S>());
 #define CONNECTIT_REM_ALL(U)            \
   CONNECTIT_REM(U, kNaive, kSplitOne)   \
   CONNECTIT_REM(U, kNaive, kHalveOne)   \
@@ -375,12 +362,6 @@ std::vector<AlgorithmRow> PaperAlgorithmRows() {
     AlgorithmRow entry;
     entry.name = row;
     for (const Variant& v : AllVariants()) {
-      // Paper rows cover the flat placement only: the replicated twins are
-      // a memory-placement overlay, not a paper algorithm.
-      if (v.family == AlgorithmFamily::kUnionFind &&
-          v.descriptor.placement != PlacementOption::kFlat) {
-        continue;
-      }
       const bool match =
           (row == "Liu-Tarjan")
               ? v.family == AlgorithmFamily::kLiuTarjan

@@ -116,8 +116,7 @@ class StreamingConnectivity {
 };
 
 template <UniteOption kUnite, FindOption kFind,
-          SpliceOption kSplice = SpliceOption::kNone,
-          PlacementOption kPlace = PlacementOption::kFlat>
+          SpliceOption kSplice = SpliceOption::kNone>
 class UnionFindStreaming final : public StreamingConnectivity {
  public:
   // Phase-concurrent variants (Rem + SpliceAtomic) must separate updates
@@ -181,7 +180,7 @@ class UnionFindStreaming final : public StreamingConnectivity {
   // mutable: Labels() compacts the forest in place, which changes the
   // representation but never the partition (logically const).
   mutable std::vector<NodeId> labels_;
-  DsuFor<kUnite, kFind, kSplice, kPlace> dsu_;
+  Dsu<kUnite, kFind, kSplice> dsu_;
 };
 
 // Wait-free find over a min-rooted parent forest (used by Type (ii)).

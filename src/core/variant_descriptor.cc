@@ -42,10 +42,6 @@ bool ParseSplice(std::string_view token, SpliceOption* out) {
                     out);
 }
 
-bool ParsePlacement(std::string_view token, PlacementOption* out) {
-  return ParseToken(token, {PlacementOption::kNumaReplicated}, out);
-}
-
 // Parses a paper Appendix-D code ("PRF", "CUSA", ...): one connect letter,
 // one update letter, one shortcut letter, and an optional trailing 'A'.
 bool ParseLtCode(std::string_view code, VariantDescriptor* out) {
@@ -80,7 +76,7 @@ bool ParseLtCode(std::string_view code, VariantDescriptor* out) {
 bool VariantDescriptor::IsValid() const {
   switch (family) {
     case AlgorithmFamily::kUnionFind:
-      return IsValidPlacement(unite, find, splice, placement);
+      return IsValidCombination(unite, find, splice);
     case AlgorithmFamily::kLiuTarjan:
       return IsValidLtCombination(connect, update, shortcut, alter);
     case AlgorithmFamily::kShiloachVishkin:
@@ -99,10 +95,6 @@ std::string VariantDescriptor::ToString() const {
       if (splice != SpliceOption::kNone) {
         name += ";";
         name += connectit::ToString(splice);
-      }
-      if (placement != PlacementOption::kFlat) {
-        name += ";";
-        name += connectit::ToString(placement);
       }
       return name;
     }
@@ -133,7 +125,7 @@ std::optional<VariantDescriptor> VariantDescriptor::Parse(
     return d;
   }
 
-  // Union-find: "unite;find[;splice][;placement]".
+  // Union-find: "unite;find[;splice]".
   std::vector<std::string_view> tokens;
   size_t pos = 0;
   while (pos <= name.size()) {
@@ -142,16 +134,13 @@ std::optional<VariantDescriptor> VariantDescriptor::Parse(
     tokens.push_back(name.substr(pos, semi - pos));
     pos = semi + 1;
   }
-  if (tokens.size() < 2 || tokens.size() > 4) return std::nullopt;
+  if (tokens.size() < 2 || tokens.size() > 3) return std::nullopt;
   VariantDescriptor d;
   d.family = AlgorithmFamily::kUnionFind;
   if (!ParseUnite(tokens[0], &d.unite)) return std::nullopt;
   if (!ParseFind(tokens[1], &d.find)) return std::nullopt;
   size_t next = 2;
   if (next < tokens.size() && ParseSplice(tokens[next], &d.splice)) ++next;
-  if (next < tokens.size() && ParsePlacement(tokens[next], &d.placement)) {
-    ++next;
-  }
   if (next != tokens.size()) return std::nullopt;  // unrecognized trailing token
   if (!d.IsValid()) return std::nullopt;
   return d;
@@ -161,8 +150,7 @@ bool operator==(const VariantDescriptor& a, const VariantDescriptor& b) {
   if (a.family != b.family) return false;
   switch (a.family) {
     case AlgorithmFamily::kUnionFind:
-      return a.unite == b.unite && a.find == b.find && a.splice == b.splice &&
-             a.placement == b.placement;
+      return a.unite == b.unite && a.find == b.find && a.splice == b.splice;
     case AlgorithmFamily::kLiuTarjan:
       return a.connect == b.connect && a.update == b.update &&
              a.shortcut == b.shortcut && a.alter == b.alter;

@@ -60,14 +60,10 @@ constexpr bool IsValidLtCombination(LtConnect c, LtUpdate u, LtShortcut,
 struct VariantDescriptor {
   AlgorithmFamily family = AlgorithmFamily::kUnionFind;
 
-  // Union-find axes; meaningful iff family == kUnionFind. `placement` is
-  // the memory-placement axis (flat shared parent array vs. per-NUMA-node
-  // replicas, src/unionfind/numa_dsu.h); names carry it as a trailing
-  // ";NumaReplicated" token.
+  // Union-find axes; meaningful iff family == kUnionFind.
   UniteOption unite = UniteOption::kAsync;
   FindOption find = FindOption::kNaive;
   SpliceOption splice = SpliceOption::kNone;
-  PlacementOption placement = PlacementOption::kFlat;
 
   // Liu-Tarjan axes; meaningful iff family == kLiuTarjan.
   LtConnect connect = LtConnect::kConnect;
@@ -75,15 +71,13 @@ struct VariantDescriptor {
   LtShortcut shortcut = LtShortcut::kShortcut;
   LtAlter alter = LtAlter::kAlter;
 
-  static VariantDescriptor UnionFind(
-      UniteOption u, FindOption f, SpliceOption s = SpliceOption::kNone,
-      PlacementOption p = PlacementOption::kFlat) {
+  static VariantDescriptor UnionFind(UniteOption u, FindOption f,
+                                     SpliceOption s = SpliceOption::kNone) {
     VariantDescriptor d;
     d.family = AlgorithmFamily::kUnionFind;
     d.unite = u;
     d.find = f;
     d.splice = s;
-    d.placement = p;
     return d;
   }
   static VariantDescriptor LiuTarjan(LtConnect c, LtUpdate u, LtShortcut s,

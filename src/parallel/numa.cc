@@ -85,7 +85,7 @@ NumaTopology* NumaTopology::Detect(size_t forced_nodes) {
   if (emulated_k > 0) {
     // Emulated: partition the hardware cpus into k contiguous groups. k may
     // exceed the cpu count (trailing nodes then own no cpus but remain valid
-    // logical nodes for replica placement).
+    // logical nodes for shard placement).
     emulated_k = std::min<size_t>(emulated_k, 64);
     const size_t cpus = HardwareCpus();
     topo->cpus_of_node_.resize(emulated_k);
@@ -170,26 +170,5 @@ bool NumaTopology::BindCurrentThread(size_t node) const {
   return false;
 #endif
 }
-
-namespace internal {
-
-void RunBoundToNode(size_t node, const std::function<void()>& fn) {
-  const NumaTopology& topo = NumaTopology::Get();
-  const size_t previous_node = t_current_node;
-#if defined(__linux__)
-  cpu_set_t saved;
-  CPU_ZERO(&saved);
-  const bool have_saved = sched_getaffinity(0, sizeof(saved), &saved) == 0;
-  const bool bound = topo.BindCurrentThread(node);
-  fn();
-  if (bound && have_saved) sched_setaffinity(0, sizeof(saved), &saved);
-#else
-  topo.BindCurrentThread(node);
-  fn();
-#endif
-  t_current_node = previous_node;
-}
-
-}  // namespace internal
 
 }  // namespace connectit

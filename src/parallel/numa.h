@@ -1,34 +1,30 @@
-// NUMA topology discovery, thread binding, and node-local placement.
+// NUMA topology discovery, thread binding, and node-affine scheduling.
 //
 // Two backends share one interface:
 //
 //  * real ("sysfs"): node count and per-node cpu lists are parsed from
 //    /sys/devices/system/node/node*/cpulist; BindCurrentThread pins the
-//    calling thread to the node's cpus with sched_setaffinity, and
-//    AllocateOnNode relies on the kernel's first-touch policy by touching
-//    pages from a thread temporarily bound to the target node. No libnuma
+//    calling thread to the node's cpus with sched_setaffinity. No libnuma
 //    link dependency.
 //  * emulated: CONNECTIT_NUMA_NODES=k partitions the hardware cpus into k
 //    contiguous groups, so single-socket machines (CI in particular)
-//    exercise every multi-replica code path — replica allocation, node-bound
-//    worker groups, cross-node counters — with real affinity masks but no
-//    actual remote memory.
+//    exercise the multi-node code paths — node-bound worker groups,
+//    node-affine loops, shard->node placement — with real affinity masks
+//    but no actual remote memory.
 //
 // On a machine that is neither multi-socket nor emulating, the topology is a
 // single node and every NUMA-aware component falls back to the flat layout.
 //
 // Affinity syscalls are best-effort: in sandboxes where sched_setaffinity
 // fails, the *logical* node assignment (CurrentNode) is still published, so
-// replicated data structures and counters behave deterministically even when
-// the OS ignores the placement hint.
+// worker groups and shard placement behave deterministically even when the
+// OS ignores the placement hint.
 
 #ifndef CONNECTIT_PARALLEL_NUMA_H_
 #define CONNECTIT_PARALLEL_NUMA_H_
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/parallel/thread_pool.h"
@@ -77,26 +73,6 @@ class NumaTopology {
   bool emulated_ = false;
   const char* backend_ = "single";
 };
-
-namespace internal {
-// Runs fn() with the calling thread temporarily bound to `node`, restoring
-// the previous affinity mask afterwards (best-effort on both legs).
-void RunBoundToNode(size_t node, const std::function<void()>& fn);
-}  // namespace internal
-
-// Node-local array allocation via first-touch: the pages are touched (and
-// initialized with init(i)) from a thread bound to `node`, so on a real NUMA
-// machine they are backed by that node's memory. Sequential by design — a
-// parallel initialization would first-touch from the wrong nodes.
-template <typename T, typename Init>
-std::unique_ptr<T[]> AllocateOnNode(size_t count, size_t node, Init&& init) {
-  std::unique_ptr<T[]> data(new T[count]);
-  T* raw = data.get();
-  internal::RunBoundToNode(node, [&] {
-    for (size_t i = 0; i < count; ++i) raw[i] = init(i);
-  });
-  return data;
-}
 
 // Node-affine parallel loop: item i is preferentially executed by a worker
 // whose node is (i % num_nodes); idle workers steal from other nodes'

@@ -228,66 +228,6 @@ inline void ResetServing() {
   internal::g_components_split.store(0, std::memory_order_relaxed);
 }
 
-// ---- NUMA locality counters (src/unionfind/numa_dsu.h) ----
-//
-// Ticked only by the replicated-placement DSU, once per operation with the
-// operation's hop tallies, so like the serving counters they are always on.
-// On a single-node topology (k == 1) the replicated DSU falls back to the
-// flat Dsu and none of these move.
-
-struct LocalitySnapshot {
-  // Parent hops resolved inside the calling node's replica (hint chains on
-  // non-home nodes; home-node work walks the authoritative array directly
-  // and is not counted here).
-  uint64_t local_find_depth = 0;
-  // Parent hops that had to read the authoritative (home-node) array from a
-  // non-home node — each one is a remote DRAM hit on a real machine.
-  uint64_t cross_node_find_depth = 0;
-  // Roots installed into a local replica by adaptive compression (owner-bit
-  // entries); monotone over the process lifetime.
-  uint64_t cross_node_compressions = 0;
-};
-
-namespace internal {
-inline std::atomic<uint64_t> g_local_find_depth{0};
-inline std::atomic<uint64_t> g_cross_node_find_depth{0};
-inline std::atomic<uint64_t> g_cross_node_compressions{0};
-}  // namespace internal
-
-// One call per replicated-DSU operation with its accumulated hop counts.
-inline void RecordLocality(uint64_t local_depth, uint64_t cross_depth,
-                           uint64_t compressions) {
-  if (local_depth != 0) {
-    internal::g_local_find_depth.fetch_add(local_depth,
-                                           std::memory_order_relaxed);
-  }
-  if (cross_depth != 0) {
-    internal::g_cross_node_find_depth.fetch_add(cross_depth,
-                                                std::memory_order_relaxed);
-  }
-  if (compressions != 0) {
-    internal::g_cross_node_compressions.fetch_add(compressions,
-                                                  std::memory_order_relaxed);
-  }
-}
-
-inline LocalitySnapshot ReadLocality() {
-  LocalitySnapshot s;
-  s.local_find_depth =
-      internal::g_local_find_depth.load(std::memory_order_relaxed);
-  s.cross_node_find_depth =
-      internal::g_cross_node_find_depth.load(std::memory_order_relaxed);
-  s.cross_node_compressions =
-      internal::g_cross_node_compressions.load(std::memory_order_relaxed);
-  return s;
-}
-
-inline void ResetLocality() {
-  internal::g_local_find_depth.store(0, std::memory_order_relaxed);
-  internal::g_cross_node_find_depth.store(0, std::memory_order_relaxed);
-  internal::g_cross_node_compressions.store(0, std::memory_order_relaxed);
-}
-
 // ---- transport counters (src/serve/: wire protocol + connectit_server) ----
 //
 // Ticked by the serving subsystem's network layer: connection lifecycle and

@@ -33,15 +33,6 @@ enum class SpliceOption {
   kSplice,    // Rem's splicing (phase-concurrent only)
 };
 
-// Memory placement of the parent array (ROADMAP "NUMA-aware DSU"). kFlat is
-// the classic single shared array; kNumaReplicated adds per-NUMA-node
-// ancestor-hint replicas in front of it (src/unionfind/numa_dsu.h), falling
-// back to kFlat behavior on single-node topologies.
-enum class PlacementOption {
-  kFlat,            // one shared parent array
-  kNumaReplicated,  // per-node replicas + adaptive cross-node compression
-};
-
 constexpr std::string_view ToString(UniteOption u) {
   switch (u) {
     case UniteOption::kAsync: return "Union-Async";
@@ -75,14 +66,6 @@ constexpr std::string_view ToString(SpliceOption s) {
   return "?";
 }
 
-constexpr std::string_view ToString(PlacementOption p) {
-  switch (p) {
-    case PlacementOption::kFlat: return "";
-    case PlacementOption::kNumaReplicated: return "NumaReplicated";
-  }
-  return "?";
-}
-
 // FindCompress combined with SpliceAtomic is incorrect (paper Appendix
 // B.2.3 gives a counter-example); the registry never instantiates it.
 constexpr bool IsValidCombination(UniteOption u, FindOption f,
@@ -99,20 +82,6 @@ constexpr bool IsValidCombination(UniteOption u, FindOption f,
     return f == FindOption::kNaive || f == FindOption::kTwoTrySplit;
   }
   return f != FindOption::kTwoTrySplit;
-}
-
-// Validity mask for the placement axis. The replicated placement caches
-// ancestors per node and walks those hint chains without revalidation, which
-// is only sound for min-based unite rules (parent values strictly decrease
-// toward the root, so any cached value stays an ancestor forever and hint
-// chains terminate). Union-JTB links by random priority — parents may
-// *increase* along a path — so it (and therefore FindTwoTrySplit, which only
-// pairs with it) keeps the flat placement.
-constexpr bool IsValidPlacement(UniteOption u, FindOption f, SpliceOption s,
-                                PlacementOption p) {
-  if (!IsValidCombination(u, f, s)) return false;
-  if (p == PlacementOption::kFlat) return true;
-  return u != UniteOption::kJtb;
 }
 
 }  // namespace connectit

@@ -82,7 +82,7 @@ TEST_F(NumaTopologyTest, BindPublishesLogicalNodeEvenWithoutAffinity) {
   EXPECT_EQ(NumaTopology::CurrentNode(), 0u);
   // The affinity syscall may fail in a sandbox (or the emulated node may
   // own no cpus on a tiny machine); the logical assignment must hold
-  // regardless — the replicated DSU keys off CurrentNode alone.
+  // regardless.
   topo.BindCurrentThread(1);
   EXPECT_EQ(NumaTopology::CurrentNode(), 1u);
   topo.BindCurrentThread(0);
@@ -120,16 +120,6 @@ TEST_F(NumaTopologyTest, BoundWorkersReportTheirNode) {
   for (size_t w = 0; w < 4; ++w) {
     EXPECT_EQ(observed[w], pool.NodeOf(w)) << "worker " << w;
   }
-}
-
-TEST_F(NumaTopologyTest, AllocateOnNodeRunsInit) {
-  NumaTopology::OverrideNodes(2);
-  auto data = AllocateOnNode<int>(100, 1, [](size_t i) {
-    return static_cast<int>(i * 3);
-  });
-  for (size_t i = 0; i < 100; ++i) EXPECT_EQ(data[i], static_cast<int>(i * 3));
-  // Allocation must not leave the calling thread rebound.
-  EXPECT_EQ(NumaTopology::CurrentNode(), 0u);
 }
 
 TEST_F(NumaTopologyTest, NodeAffineLoopRunsEveryItemOnce) {

