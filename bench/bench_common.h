@@ -32,12 +32,11 @@ inline bool LargeScale() {
   return env != nullptr && std::strcmp(env, "large") == 0;
 }
 
-// CONNECTIT_BENCH_REPR=compressed|coo|sharded|mapped runs registry-driven
-// benches on the byte-coded, COO edge-list, sharded-CSR, or mmap-container
-// representation instead of plain CSR — same variants, same sweep,
-// different GraphHandle. On COO, edge-centric variants without sampling run
-// natively (no CSR rebuild inside the run); on sharded and mapped,
-// everything is native (mapped serves zero-copy from a temp .cgc).
+// CONNECTIT_BENCH_REPR=compressed|coo|sharded runs registry-driven benches
+// on the byte-coded, COO edge-list, or sharded-CSR representation instead
+// of plain CSR — same variants, same sweep, different GraphHandle. On COO,
+// edge-centric variants without sampling run natively (no CSR rebuild
+// inside the run); on sharded, everything is native.
 inline GraphRepresentation BenchRepr() {
   const char* env = std::getenv("CONNECTIT_BENCH_REPR");
   if (env == nullptr || std::strcmp(env, "csr") == 0) {
@@ -48,12 +47,11 @@ inline GraphRepresentation BenchRepr() {
   }
   if (std::strcmp(env, "coo") == 0) return GraphRepresentation::kCoo;
   if (std::strcmp(env, "sharded") == 0) return GraphRepresentation::kSharded;
-  if (std::strcmp(env, "mapped") == 0) return GraphRepresentation::kMapped;
   // Fail fast: silently benchmarking CSR under a misspelled value would
   // mislabel every number in the run.
   std::fprintf(stderr,
                "error: unknown CONNECTIT_BENCH_REPR=%s "
-               "(expected csr, compressed, coo, sharded, or mapped)\n",
+               "(expected csr, compressed, coo, or sharded)\n",
                env);
   std::exit(2);
 }
@@ -87,8 +85,6 @@ inline GraphHandle MakeBenchHandle(GraphRepresentation repr,
       return GraphHandle::Adopt(ExtractEdges(graph));
     case GraphRepresentation::kSharded:
       return GraphHandle::Shard(graph, BenchShards());
-    case GraphRepresentation::kMapped:
-      return GraphHandle::MapTempOrDie(graph);
     case GraphRepresentation::kCsr: break;
   }
   return GraphHandle(graph);
@@ -211,8 +207,8 @@ inline HandoffSplit SplitForHandoff(const EdgeList& stream,
 
 // The GraphHandle a warm-start static pass should run on, honoring
 // CONNECTIT_BENCH_REPR: a COO view of `base` (native for edge-centric
-// variants), an owning CSR, an owning byte-coded CSR, an owning sharded
-// partition, or a zero-copy mapping of a temp .cgc container.
+// variants), an owning CSR, an owning byte-coded CSR, or an owning sharded
+// partition.
 inline GraphHandle MakeSeedHandle(const EdgeList& base) {
   switch (BenchRepr()) {
     case GraphRepresentation::kCompressed:
@@ -221,8 +217,6 @@ inline GraphHandle MakeSeedHandle(const EdgeList& base) {
       return GraphHandle::Adopt(BuildGraph(base));
     case GraphRepresentation::kSharded:
       return GraphHandle::Shard(BuildGraph(base), BenchShards());
-    case GraphRepresentation::kMapped:
-      return GraphHandle::MapTempOrDie(BuildGraph(base));
     case GraphRepresentation::kCoo: break;
   }
   return GraphHandle(base);

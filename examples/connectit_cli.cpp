@@ -4,7 +4,7 @@
 // suggestion).
 //
 // Usage:
-//   connectit_cli [--repr=<csr|compressed|coo|sharded|mapped>] [--shards=<P>]
+//   connectit_cli [--repr=<csr|compressed|coo|sharded>] [--shards=<P>]
 //                 [--stream=<B>x<S>] [--erase=<E>]
 //                 <edge-list-file|graph.cgc|graph.bin> [variant] [sampling]
 //   connectit_cli [--repr=...] [--stream=<B>x<S>] --generate
@@ -26,14 +26,13 @@
 //               shards. Every variant × sampling combination is native on
 //               this representation — the printed "flat csr
 //               materializations" line stays 0 for every run.
-// --repr=mapped: serve the graph zero-copy from an mmap'd versioned
-//               container (src/graph/container.h). A .cgc/.bin input file
-//               is mapped directly — the cold path: no edge list is parsed
-//               and no CSR is built in memory. Text or generated inputs
-//               are written to an unlinked temp container first
-//               (GraphHandle::MapTempOrDie). Every variant × sampling
-//               combination runs off the mapping — the printed "mapped csr
-//               materializations" line stays 0 for every run.
+// graph.cgc:    a versioned container (src/graph/container.h), served
+//               straight from its mapping — the cold path: no edge list is
+//               parsed and no CSR is built in memory. With the default
+//               --repr=csr the printed "zero-copy from mapping: yes" line
+//               checks by address that the run reads the mapped arrays;
+//               other representations convert from the mapping. A .bin
+//               input (also the legacy v0 dump) is read into memory.
 // --stream=<B>x<S>: static-to-streaming handoff mode. The last B*S edges
 //               are held out; the variant's static pass runs over the rest
 //               (on the chosen representation), its labeling seeds the
@@ -75,6 +74,7 @@
 #include "src/core/connectivity_index.h"
 #include "src/graph/builder.h"
 #include "src/graph/compressed.h"
+#include "src/graph/container.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_handle.h"
 #include "src/graph/io.h"
@@ -94,18 +94,16 @@ SamplingConfig ParseSampling(const std::string& name) {
   return SamplingConfig::KOut();
 }
 
-// .cgc/.bin inputs are the versioned binary container; with --repr=mapped
-// they are mmap'd directly instead of being parsed into an edge list.
-bool IsContainerPath(const char* path) {
+bool HasSuffix(const char* path, const char* suffix) {
   const size_t len = std::strlen(path);
-  return (len >= 4 && (std::strcmp(path + len - 4, ".cgc") == 0 ||
-                       std::strcmp(path + len - 4, ".bin") == 0));
+  const size_t n = std::strlen(suffix);
+  return len >= n && std::strcmp(path + len - n, suffix) == 0;
 }
 
 int Usage() {
   std::fprintf(stderr,
                "usage: connectit_cli "
-               "[--repr=<csr|compressed|coo|sharded|mapped>] "
+               "[--repr=<csr|compressed|coo|sharded>] "
                "[--shards=<P>] [--stream=<batches>x<batch-size>] "
                "[--erase=<E>] [--numa=<off|auto|k>] "
                "<edge-list-file|graph.cgc> [variant] [sampling]\n"
@@ -114,9 +112,8 @@ int Usage() {
                "       connectit_cli --list\n"
                "(--compressed is an alias for --repr=compressed; --shards "
                "defaults to hardware concurrency; --erase requires "
-               "--stream; --numa=k emulates k nodes; --repr=mapped maps a "
-               ".cgc/.bin container file directly, or serves other inputs "
-               "from an unlinked temp container)\n");
+               "--stream; --numa=k emulates k nodes; a .cgc container is "
+               "served straight from its mapping)\n");
   return 2;
 }
 
@@ -205,12 +202,6 @@ int RunStreamMode(GraphRepresentation repr, size_t num_shards,
       base_handle = GraphHandle::Shard(BuildGraph(base), num_shards);
       full_handle = GraphHandle::Shard(BuildGraph(all), num_shards);
       break;
-    case GraphRepresentation::kMapped:
-      // Both seeds are served zero-copy from unlinked temp containers; the
-      // streamed tail then flows through the variant's streaming structure.
-      base_handle = GraphHandle::MapTempOrDie(BuildGraph(base));
-      full_handle = GraphHandle::MapTempOrDie(BuildGraph(all));
-      break;
   }
 
   std::printf("graph: n=%u, m=%zu (%zu bulk + %zu streamed), "
@@ -224,11 +215,9 @@ int RunStreamMode(GraphRepresentation repr, size_t num_shards,
               index.variant().name.c_str(), sampling_name.c_str(),
               num_batches, batch_size);
 
-  const uint64_t builds_before =
-      (repr == GraphRepresentation::kSharded) ? ShardedCsrMaterializations()
-      : (repr == GraphRepresentation::kMapped)
-          ? MappedCsrMaterializations()
-          : CooCsrMaterializations();
+  const uint64_t builds_before = (repr == GraphRepresentation::kSharded)
+                                     ? ShardedCsrMaterializations()
+                                     : CooCsrMaterializations();
   auto t0 = std::chrono::steady_clock::now();
   index.Build(base_handle);  // static pass...
   index.Stream();            // ...whose labeling seeds the streaming form
@@ -296,11 +285,6 @@ int RunStreamMode(GraphRepresentation repr, size_t num_shards,
     // Every seed is sharded-native: this must print 0.
     std::printf("flat csr materializations: %llu\n",
                 static_cast<unsigned long long>(ShardedCsrMaterializations() -
-                                                builds_before));
-  } else if (repr == GraphRepresentation::kMapped) {
-    // Every seed runs off the mapping: this must print 0.
-    std::printf("mapped csr materializations: %llu\n",
-                static_cast<unsigned long long>(MappedCsrMaterializations() -
                                                 builds_before));
   }
 
@@ -379,8 +363,6 @@ int main(int argc, char** argv) {
       repr = GraphRepresentation::kCoo;
     } else if (std::strcmp(argv[i], "--repr=sharded") == 0) {
       repr = GraphRepresentation::kSharded;
-    } else if (std::strcmp(argv[i], "--repr=mapped") == 0) {
-      repr = GraphRepresentation::kMapped;
     } else if (std::strcmp(argv[i], "--repr=csr") == 0) {
       repr = GraphRepresentation::kCsr;
     } else if (std::strncmp(argv[i], "--repr=", 7) == 0) {
@@ -461,11 +443,11 @@ int main(int argc, char** argv) {
   }
 
   // COO mode keeps the edge list as the graph; the other modes build CSR
-  // up front (and optionally byte-code it). In mapped mode a .cgc/.bin
-  // input skips both: the container file is mmap'd as-is.
+  // up front (and optionally byte-code it). A .cgc input skips the build:
+  // its Graph serves the container's arrays from the mapping.
   Graph graph;
   EdgeList edges;
-  GraphHandle file_mapped;  // non-empty iff a container file was mapped
+  MappedContainer container;  // non-empty iff a .cgc file was mapped
   int arg = 2;
   if (std::strcmp(argv[1], "--generate") == 0) {
     if (argc < 4) return Usage();
@@ -490,19 +472,19 @@ int main(int argc, char** argv) {
     arg = 4;
   } else {
     std::string read_error;
-    if (IsContainerPath(argv[1])) {
-      if (repr == GraphRepresentation::kMapped && stream_batches == 0) {
-        // The cold path: mmap the container and serve it as-is — no text
-        // parse, no in-memory CSR build.
-        file_mapped = GraphHandle::Map(argv[1], &read_error);
-        if (file_mapped.mapped() == nullptr) {
-          std::fprintf(stderr, "error: %s\n", read_error.c_str());
-          return 1;
-        }
-      } else if (!ReadGraphBinary(argv[1], &graph, &read_error)) {
+    if (HasSuffix(argv[1], ".cgc") || HasSuffix(argv[1], ".bin")) {
+      // The cold path for .cgc: map the container and serve it as-is — no
+      // text parse, no in-memory CSR build.
+      const bool ok =
+          HasSuffix(argv[1], ".cgc")
+              ? MappedContainer::Map(argv[1], &container, &read_error)
+              : ReadGraphBinary(argv[1], &graph, &read_error);
+      if (!ok) {
         std::fprintf(stderr, "error: %s\n", read_error.c_str());
         return 1;
-      } else if (repr == GraphRepresentation::kCoo || stream_batches > 0) {
+      }
+      if (container.file_bytes() != 0) graph = container.graph();
+      if (repr == GraphRepresentation::kCoo || stream_batches > 0) {
         edges = ExtractEdges(graph);
         graph = Graph();  // the edges are the graph; drop the CSR
       }
@@ -550,16 +532,6 @@ int main(int argc, char** argv) {
       handle = GraphHandle::Shard(graph, num_shards);
       graph = Graph();  // the shards own a copy; drop the flat CSR
       break;
-    case GraphRepresentation::kMapped:
-      if (file_mapped.mapped() != nullptr) {
-        handle = file_mapped;  // the container file itself, mmap'd
-      } else {
-        // Text/generated input: round-trip through an unlinked temp
-        // container so the run still serves zero-copy from a mapping.
-        handle = GraphHandle::MapTempOrDie(graph);
-        graph = Graph();  // the mapping owns the bytes; drop the CSR
-      }
-      break;
   }
   std::printf("graph: n=%u, m=%llu, representation=%s\n", handle.num_nodes(),
               static_cast<unsigned long long>(handle.num_edges()),
@@ -575,11 +547,9 @@ int main(int argc, char** argv) {
                 handle.sharded()->shard_width());
     if (report_numa) PrintShardPlacement(*handle.sharded());
   }
-  const uint64_t builds_before =
-      (repr == GraphRepresentation::kSharded) ? ShardedCsrMaterializations()
-      : (repr == GraphRepresentation::kMapped)
-          ? MappedCsrMaterializations()
-          : CooCsrMaterializations();
+  const uint64_t builds_before = (repr == GraphRepresentation::kSharded)
+                                     ? ShardedCsrMaterializations()
+                                     : CooCsrMaterializations();
   Connectivity index(spec);
   const auto t0 = std::chrono::steady_clock::now();
   index.Build(handle);
@@ -603,11 +573,11 @@ int main(int argc, char** argv) {
     std::printf("flat csr materializations: %llu\n",
                 static_cast<unsigned long long>(ShardedCsrMaterializations() -
                                                 builds_before));
-  } else if (repr == GraphRepresentation::kMapped) {
-    // Always 0: every variant × sampling combination runs off the mapping.
-    std::printf("mapped csr materializations: %llu\n",
-                static_cast<unsigned long long>(MappedCsrMaterializations() -
-                                                builds_before));
+  } else if (repr == GraphRepresentation::kCsr &&
+             container.file_bytes() != 0) {
+    // Always yes: the CSR the run read lies inside the container mapping.
+    std::printf("zero-copy from mapping: %s\n",
+                container.Serves(*handle.csr()) ? "yes" : "NO");
   }
   std::printf("components: %u\n", num_components);
   const auto histogram = ComponentSizeHistogram(labels);

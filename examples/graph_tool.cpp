@@ -16,7 +16,7 @@
 //         --with-compressed  embed byte-coded chunks alongside the CSR
 //   graph_tool stats <in.el|in.bin|in.cgc>
 //   graph_tool compress <in>            (report byte-code sizes and check
-//                                        CSR vs compressed/COO/sharded/mapped
+//                                        CSR vs compressed/COO/sharded
 //                                        connectivity parity)
 
 #include <cmath>
@@ -243,14 +243,14 @@ int main(int argc, char** argv) {
     // Container-only metadata: surface the optional sections so a quick
     // stats run shows what a .cgc actually carries.
     if (IsBinaryPath(argv[2])) {
-      MappedGraph mapped;
-      if (MappedGraph::Map(argv[2], &mapped, &error)) {
-        std::printf("container: %zu bytes on disk\n", mapped.file_bytes());
-        if (mapped.has_shard_table()) {
+      MappedContainer container;
+      if (MappedContainer::Map(argv[2], &container, &error)) {
+        std::printf("container: %zu bytes on disk\n", container.file_bytes());
+        if (container.has_shard_table()) {
           std::printf("shard table: %zu shards\n",
-                      mapped.shard_boundaries().size() - 1);
+                      container.shard_boundaries().size() - 1);
         }
-        if (mapped.has_compressed_chunks()) {
+        if (container.has_compressed_chunks()) {
           std::printf("compressed chunks: embedded\n");
         }
       }
@@ -268,14 +268,14 @@ int main(int argc, char** argv) {
                     static_cast<double>(coded.compressed()->byte_size()));
     // Sanity: the serving façade must produce the same partition on every
     // representation of this graph (CSR view, byte-coded, COO edge list,
-    // sharded CSR, mapped container) — the default Spec's variant, converted
-    // per Representation.
+    // sharded CSR) — the default Spec's variant, converted per
+    // Representation.
     Connectivity csr_index;
     const std::vector<NodeId> csr_labels = csr_index.Build(graph).Labels();
     bool all_ok = true;
     for (const GraphRepresentation repr :
          {GraphRepresentation::kCompressed, GraphRepresentation::kCoo,
-          GraphRepresentation::kSharded, GraphRepresentation::kMapped}) {
+          GraphRepresentation::kSharded}) {
       Connectivity index(Connectivity::Spec().Representation(repr));
       const bool parity =
           SamePartition(csr_labels, index.Build(graph).Labels());

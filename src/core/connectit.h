@@ -120,6 +120,18 @@ struct SpanningForestResult {
   std::vector<Edge> edges;
 };
 
+// The splice a union-find spanning forest runs with. Rem's SpliceAtomic
+// re-parents a *non-root* vertex into the other tree: a link Algorithm 2's
+// slot recording never sees, so a concurrent Unite can then find one root
+// and record no edge, breaking the root-based precondition (App. B.2) the
+// forest relies on. SplitAtomicOne only shortcuts within a tree, so every
+// cross-tree link stays a recorded root hook; the forest passes of
+// SpliceAtomic variants use it, and their components pass keeps
+// SpliceAtomic.
+template <SpliceOption kSplice>
+inline constexpr SpliceOption kForestSplice =
+    kSplice == SpliceOption::kSplice ? SpliceOption::kSplitOne : kSplice;
+
 // ---------------------------------------------------------------------------
 // COO-native drivers (paper §2 "Data Format": CSR and COO are both
 // first-class inputs)
@@ -158,7 +170,7 @@ SpanningForestResult SpanningForestOnEdges(const EdgeList& edges) {
   SpanningForestResult result;
   result.labels = IdentityLabels(n);
   std::vector<Edge> slots(n, kEmptySlot);
-  Dsu<kUnite, kFind, kSplice> dsu(result.labels.data(), n);
+  Dsu<kUnite, kFind, kForestSplice<kSplice>> dsu(result.labels.data(), n);
   ParallelFor(0, edges.size(), [&](size_t i) {
     const Edge e = edges.edges[i];
     const NodeId hooked = dsu.Unite(e.u, e.v);
@@ -260,7 +272,7 @@ struct UnionFindFinish {
   static void FinishForest(const GraphT& graph, std::vector<NodeId>& labels,
                            std::vector<Edge>& slots, NodeId frequent) {
     const NodeId n = graph.num_nodes();
-    Dsu<kUnite, kFind, kSplice> dsu(labels.data(), n);
+    Dsu<kUnite, kFind, kForestSplice<kSplice>> dsu(labels.data(), n);
     const std::vector<uint8_t> skip = MakeSkipMask(labels, frequent);
     auto apply = [&](NodeId u, NodeId v) {
       const NodeId hooked = dsu.Unite(u, v);

@@ -45,8 +45,8 @@ internal::SnapshotData* MakeSnapshotData(std::vector<NodeId> labels) {
 }
 
 // Builds an owning handle of `target` representation from a flat CSR
-// reference. Only the kCsr target needs to copy `flat`; the other
-// converters build independent owning structures from the reference.
+// reference. The kCsr target shares `flat`'s arrays (an O(1) Graph copy);
+// the other converters build independent owning structures from it.
 GraphHandle FromFlat(const Graph& flat, GraphRepresentation target,
                      size_t shards) {
   switch (target) {
@@ -58,10 +58,6 @@ GraphHandle FromFlat(const Graph& flat, GraphRepresentation target,
       return GraphHandle::Adopt(ExtractEdges(flat));
     case GraphRepresentation::kSharded:
       return GraphHandle::Shard(flat, shards);
-    case GraphRepresentation::kMapped:
-      // Round-trips through a temporary .cgc container: the handle serves
-      // the flat arrays zero-copy from the (unlinked) mapping.
-      return GraphHandle::MapTempOrDie(flat);
   }
   return GraphHandle();
 }
@@ -171,18 +167,15 @@ Connectivity::Spec Connectivity::Spec::Auto(const GraphHandle& graph,
     // variant, so neither Build nor a streaming seed ever builds a CSR).
     return spec;
   }
-  if (graph.representation() == GraphRepresentation::kMapped) {
-    // A mapped source stays mapped: converting would materialize the very
-    // arrays the zero-copy container avoids loading, and the mapping serves
-    // the full adjacency surface, so sampling is the only lever worth
-    // pulling.
-    if (avg_degree >= 4.0) spec.Sampling(SamplingConfig::KOut());
-    return spec;
-  }
   if (avg_degree >= 4.0) {
     spec.Sampling(SamplingConfig::KOut());
   }
-  if (!streaming && graph.representation() == GraphRepresentation::kCsr &&
+  // A CSR served from a container mapping stays as it is: resharding would
+  // copy into memory the very arrays the mapping avoids loading, so
+  // sampling is the only lever worth pulling.
+  const bool mapped = graph.csr() != nullptr && graph.csr()->mapped();
+  if (!streaming && !mapped &&
+      graph.representation() == GraphRepresentation::kCsr &&
       avg_degree >= 8.0 && n >= (NodeId{1} << 18)) {
     // Big dense analytical pass: shard-major locality wins (see
     // ARCHITECTURE.md "Choosing a representation"). Not worth the

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "src/graph/io.h"
 
@@ -335,48 +336,26 @@ bool ContainerWriter::Finish(std::string* error) {
 
 // ---- reader ----
 
-MappedGraph::~MappedGraph() { Unmap(); }
+namespace {
 
-MappedGraph::MappedGraph(MappedGraph&& other) noexcept {
-  *this = std::move(other);
-}
+// Owner of one read-only file mapping; the last Graph copy serving from it
+// unmaps.
+class Mapping {
+ public:
+  Mapping(void* base, size_t length) : base_(base), length_(length) {}
+  Mapping(const Mapping&) = delete;
+  Mapping& operator=(const Mapping&) = delete;
+  ~Mapping() { munmap(base_, length_); }
 
-MappedGraph& MappedGraph::operator=(MappedGraph&& other) noexcept {
-  if (this == &other) return *this;
-  Unmap();
-  path_ = std::move(other.path_);
-  base_ = other.base_;
-  map_len_ = other.map_len_;
-  num_nodes_ = other.num_nodes_;
-  num_arcs_ = other.num_arcs_;
-  offsets_ = other.offsets_;
-  neighbors_ = other.neighbors_;
-  shard_bounds_ = other.shard_bounds_;
-  shard_bounds_len_ = other.shard_bounds_len_;
-  compressed_ = other.compressed_;
-  compressed_len_ = other.compressed_len_;
-  other.base_ = nullptr;
-  other.Unmap();  // resets the moved-from scalars; base_ is already null
-  return *this;
-}
+ private:
+  void* base_;
+  size_t length_;
+};
 
-void MappedGraph::Unmap() {
-  if (base_ != nullptr) munmap(base_, map_len_);
-  path_.clear();
-  base_ = nullptr;
-  map_len_ = 0;
-  num_nodes_ = 0;
-  num_arcs_ = 0;
-  offsets_ = nullptr;
-  neighbors_ = nullptr;
-  shard_bounds_ = nullptr;
-  shard_bounds_len_ = 0;
-  compressed_ = nullptr;
-  compressed_len_ = 0;
-}
+}  // namespace
 
-bool MappedGraph::Map(const std::string& path, MappedGraph* out,
-                      std::string* error, const ContainerMapOptions& options) {
+bool MappedContainer::Map(const std::string& path, MappedContainer* out,
+                          std::string* error) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Fail(error, path + ": cannot open: " + std::strerror(errno));
@@ -405,11 +384,8 @@ bool MappedGraph::Map(const std::string& path, MappedGraph* out,
   if (base == MAP_FAILED) {
     return Fail(error, path + ": mmap failed: " + std::strerror(errno));
   }
-  // From here on, every failure path must unmap.
-  MappedGraph mapped;
-  mapped.path_ = path;
-  mapped.base_ = base;
-  mapped.map_len_ = file_len;
+  // From here on, every failure path unmaps when `mapping` goes away.
+  auto mapping = std::make_shared<const Mapping>(base, file_len);
   const uint8_t* bytes = static_cast<const uint8_t*>(base);
 
   ContainerHeader header;
@@ -529,22 +505,18 @@ bool MappedGraph::Map(const std::string& path, MappedGraph* out,
                            std::to_string(arcs) + " arcs");
   }
 
-  if (options.verify_checksums) {
-    for (uint32_t i = 0; i < header.section_count; ++i) {
-      const ContainerSection& s = sections[i];
-      if (ContainerChecksum(bytes + s.offset, s.length) != s.checksum) {
-        return Fail(error, path + ": " + SectionName(s.kind) +
-                               " section checksum mismatch (corrupt data)");
-      }
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    const ContainerSection& s = sections[i];
+    if (ContainerChecksum(bytes + s.offset, s.length) != s.checksum) {
+      return Fail(error, path + ": " + SectionName(s.kind) +
+                             " section checksum mismatch (corrupt data)");
     }
   }
 
   const EdgeId* offsets = reinterpret_cast<const EdgeId*>(
       bytes + offsets_sec->offset);
   const NodeId* neighbors =
-      neighbors_sec->length == 0
-          ? nullptr
-          : reinterpret_cast<const NodeId*>(bytes + neighbors_sec->offset);
+      reinterpret_cast<const NodeId*>(bytes + neighbors_sec->offset);
   if (offsets[0] != 0) {
     return Fail(error, path + ": offsets[0] = " + std::to_string(offsets[0]) +
                            ", must be 0");
@@ -554,27 +526,28 @@ bool MappedGraph::Map(const std::string& path, MappedGraph* out,
                            " does not match the header arc count " +
                            std::to_string(arcs));
   }
-  if (options.verify_checksums) {
-    // Deep shape validation: offsets monotone, neighbor ids in range. With
-    // checksums verified this only rejects files that were *written* wrong,
-    // but it is what guarantees "never a partial graph" even then.
-    std::atomic<bool> bad_offsets{false};
-    ParallelFor(0, n, [&](size_t v) {
-      if (offsets[v] > offsets[v + 1])
-        bad_offsets.store(true, std::memory_order_relaxed);
-    });
-    if (bad_offsets.load()) {
-      return Fail(error, path + ": offsets array is not monotone");
-    }
-    std::atomic<bool> bad_neighbor{false};
-    ParallelFor(0, arcs, [&](size_t e) {
-      if (neighbors[e] >= n) bad_neighbor.store(true, std::memory_order_relaxed);
-    });
-    if (bad_neighbor.load()) {
-      return Fail(error, path + ": neighbor id out of range [0, " +
-                             std::to_string(n) + ")");
-    }
+  // Deep shape validation: offsets monotone, neighbor ids in range. With
+  // checksums verified this only rejects files that were *written* wrong,
+  // but it is what guarantees "never a partial graph" even then: a
+  // union-find indexes its parent array with every neighbor id it reads.
+  std::atomic<bool> bad_offsets{false};
+  ParallelFor(0, n, [&](size_t v) {
+    if (offsets[v] > offsets[v + 1])
+      bad_offsets.store(true, std::memory_order_relaxed);
+  });
+  if (bad_offsets.load()) {
+    return Fail(error, path + ": offsets array is not monotone");
   }
+  std::atomic<bool> bad_neighbor{false};
+  ParallelFor(0, arcs, [&](size_t e) {
+    if (neighbors[e] >= n) bad_neighbor.store(true, std::memory_order_relaxed);
+  });
+  if (bad_neighbor.load()) {
+    return Fail(error, path + ": neighbor id out of range [0, " +
+                           std::to_string(n) + ")");
+  }
+
+  MappedContainer container;
 
   const ContainerSection* shards_sec =
       by_kind[static_cast<uint32_t>(SectionKind::kShardTable)];
@@ -597,45 +570,53 @@ bool MappedGraph::Map(const std::string& path, MappedGraph* out,
         return Fail(error, path + ": shard boundaries are not monotone");
       }
     }
-    mapped.shard_bounds_ = bounds;
-    mapped.shard_bounds_len_ = count;
+    container.shard_bounds_ = {bounds, count};
   }
 
   const ContainerSection* compressed_sec =
       by_kind[static_cast<uint32_t>(SectionKind::kCompressedChunks)];
   if (compressed_sec != nullptr) {
-    mapped.compressed_ = bytes + compressed_sec->offset;
-    mapped.compressed_len_ = compressed_sec->length;
+    container.compressed_ = {bytes + compressed_sec->offset,
+                             static_cast<size_t>(compressed_sec->length)};
   }
 
-  mapped.num_nodes_ = static_cast<NodeId>(n);
-  mapped.num_arcs_ = arcs;
-  mapped.offsets_ = offsets;
-  mapped.neighbors_ = neighbors;
-  *out = std::move(mapped);
+  container.path_ = path;
+  container.file_ = {bytes, file_len};
+  container.graph_ = Graph({offsets, static_cast<size_t>(n) + 1},
+                           {neighbors, static_cast<size_t>(arcs)},
+                           std::move(mapping));
+  *out = std::move(container);
   return true;
 }
 
-bool MappedGraph::DecodeCompressedChunks(CompressedGraph* out,
-                                         std::string* error) const {
-  if (compressed_ == nullptr) {
+bool MappedContainer::Serves(const Graph& graph) const {
+  const auto begin = reinterpret_cast<uintptr_t>(file_.data());
+  const auto end = begin + file_.size();
+  const auto inside = [&](const void* data, size_t bytes) {
+    const auto at = reinterpret_cast<uintptr_t>(data);
+    return at >= begin && at + bytes <= end;
+  };
+  return !file_.empty() &&
+         inside(graph.offsets().data(), graph.offsets().size_bytes()) &&
+         inside(graph.neighbor_array().data(),
+                graph.neighbor_array().size_bytes());
+}
+
+bool MappedContainer::DecodeCompressedChunks(CompressedGraph* out,
+                                             std::string* error) const {
+  if (!has_compressed_chunks()) {
     return Fail(error, path_ + ": no compressed-chunks section");
   }
-  if (!CompressedGraph::Deserialize(compressed_, compressed_len_, out, error))
+  if (!CompressedGraph::Deserialize(compressed_.data(), compressed_.size(),
+                                    out, error))
     return false;
-  if (out->num_nodes() != num_nodes_ || out->num_arcs() != num_arcs_) {
+  if (out->num_nodes() != graph_.num_nodes() ||
+      out->num_arcs() != graph_.num_arcs()) {
     *out = CompressedGraph();
     return Fail(error, path_ + ": compressed chunks disagree with the "
                               "container's vertex/arc counts");
   }
   return true;
-}
-
-Graph MappedGraph::ToGraph() const {
-  if (offsets_ == nullptr) return Graph();
-  return Graph(
-      std::vector<EdgeId>(offsets_, offsets_ + num_nodes_ + 1),
-      std::vector<NodeId>(neighbors_, neighbors_ + num_arcs_));
 }
 
 }  // namespace connectit

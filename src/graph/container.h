@@ -4,12 +4,12 @@
 // asks for (in the spirit of Katana's libtsuba RDG layout): a fixed
 // little-endian header (magic, format version, flags, n, m) plus a checksummed
 // section table, followed by 64-byte-aligned sections holding the CSR arrays
-// verbatim — so a mapping of the file *is* the graph, and MappedGraph serves
-// the full adjacency surface (csr.h / ARCHITECTURE.md) straight off the page
-// cache with no materialization. Optional sections record a shard partition
-// table (vertex boundaries of a ShardedGraph cut) and byte-compressed chunks
-// (a serialized CompressedGraph), so one file can carry every representation
-// the registry dispatches over.
+// verbatim — so a mapping of the file *is* the graph: MappedContainer hands
+// out a plain Graph (csr.h) whose arrays point into the mapping, and every
+// algorithm runs straight off the page cache with no copy. Optional sections
+// record a shard partition table (vertex boundaries of a ShardedGraph cut)
+// and byte-compressed chunks (a serialized CompressedGraph), so one file can
+// carry every representation the registry dispatches over.
 //
 // Layout (all integers little-endian; the build refuses to compile
 // big-endian, see container.cc):
@@ -41,10 +41,10 @@
 // and seeks back to stamp the header. graph_tool's converter uses it to
 // build containers for graphs whose CSR never fits in RAM at once.
 //
-// Readers: MappedGraph::Map validates everything before exposing a single
-// byte — magic, version, flags, id widths, section bounds and alignment,
-// offset-array monotonicity, neighbor range, and (by default) every section
-// checksum — and fails with a diagnostic string instead of crashing or
+// Readers: MappedContainer::Map validates everything before exposing a
+// single byte — magic, version, flags, id widths, section bounds and
+// alignment, every section checksum, offset-array monotonicity and neighbor
+// range — and fails with a diagnostic string instead of crashing or
 // returning a partial graph. tests/container_corruption_test.cc pins that
 // contract by flipping and truncating every header field and section.
 
@@ -62,7 +62,6 @@
 #include "src/graph/csr.h"
 #include "src/graph/sharded.h"
 #include "src/graph/types.h"
-#include "src/parallel/thread_pool.h"
 
 namespace connectit {
 
@@ -206,141 +205,45 @@ class ContainerWriter {
   bool finished_ = false;
 };
 
-struct ContainerMapOptions {
-  // Verify every section checksum (one parallel pass over the file) before
-  // exposing the data. Turning this off skips the O(file) pass but still
-  // validates the header, table, bounds, and offset-array shape.
-  bool verify_checksums = true;
-};
-
-// Read-only zero-copy view of a mapped container. Serves the full adjacency
-// surface (the same member set as Graph in csr.h), so every variant ×
-// sampling × streaming seed in the registry runs directly on the mapping —
-// GraphHandle::Map wraps one of these as the fifth representation.
-// Move-only: the destructor unmaps.
-class MappedGraph {
+// A mapped, validated .cgc container: the CSR it stores, served as a Graph
+// whose arrays point straight into the mapping, plus the container extras.
+// The mapping stays open while any copy of graph() lives, so the graph may
+// outlive this object (GraphHandle::Map relies on that).
+class MappedContainer {
  public:
-  MappedGraph() = default;
-  ~MappedGraph();
-  MappedGraph(MappedGraph&& other) noexcept;
-  MappedGraph& operator=(MappedGraph&& other) noexcept;
-  MappedGraph(const MappedGraph&) = delete;
-  MappedGraph& operator=(const MappedGraph&) = delete;
-
   // Maps and validates `path`. On any failure — unreadable file, bad magic,
   // unsupported version, unknown flags, out-of-range or misaligned section,
-  // checksum mismatch, malformed offsets — returns false, stores a
-  // diagnostic in *error, and leaves *out empty. Never returns a partially
-  // valid graph.
-  static bool Map(const std::string& path, MappedGraph* out,
-                  std::string* error = nullptr,
-                  const ContainerMapOptions& options = {});
+  // checksum mismatch, malformed offsets, out-of-range neighbor id — returns
+  // false, stores a diagnostic in *error, and leaves *out untouched. Never
+  // returns a partially valid graph.
+  static bool Map(const std::string& path, MappedContainer* out,
+                  std::string* error = nullptr);
 
-  // ---- adjacency surface (mirrors Graph) ----
-
-  NodeId num_nodes() const { return num_nodes_; }
-  EdgeId num_arcs() const { return num_arcs_; }
-  EdgeId num_edges() const { return num_arcs_ / 2; }
-
-  EdgeId degree(NodeId v) const { return offsets_[v + 1] - offsets_[v]; }
-
-  std::span<const NodeId> neighbors(NodeId v) const {
-    return {neighbors_ + offsets_[v], static_cast<size_t>(degree(v))};
-  }
-
-  std::span<const EdgeId> offsets() const {
-    return {offsets_, offsets_ == nullptr
-                          ? 0
-                          : static_cast<size_t>(num_nodes_) + 1};
-  }
-  std::span<const NodeId> neighbor_array() const {
-    return {neighbors_, static_cast<size_t>(num_arcs_)};
-  }
-
-  template <typename F>
-  void MapArcs(F&& fn) const;
-
-  template <typename F, typename Pred>
-  void MapArcsIf(Pred&& pred, F&& fn) const;
-
-  template <typename F>
-  void MapNeighbors(NodeId u, F&& fn) const {
-    for (NodeId v : neighbors(u)) fn(v);
-  }
-
-  template <typename F>
-  void MapNeighborsWhile(NodeId u, F&& fn) const {
-    for (NodeId v : neighbors(u)) {
-      if (!fn(v)) return;
-    }
-  }
-
-  NodeId NeighborAt(NodeId u, EdgeId i) const {
-    return neighbors_[offsets_[u] + i];
-  }
-
-  // ---- container extras ----
-
+  const Graph& graph() const { return graph_; }
   const std::string& path() const { return path_; }
-  size_t file_bytes() const { return map_len_; }
-  bool mapped() const { return base_ != nullptr; }
+  size_t file_bytes() const { return file_.size(); }
+
+  // True when both of `graph`'s arrays lie inside this mapping: the
+  // zero-copy check the CLI, the benches and the tests print or assert.
+  bool Serves(const Graph& graph) const;
 
   // Shard partition table, when the writer recorded one: P + 1 vertex
   // boundaries (boundary[s] = first vertex of shard s, boundary[P] = n).
-  bool has_shard_table() const { return shard_bounds_ != nullptr; }
-  std::span<const uint64_t> shard_boundaries() const {
-    return {shard_bounds_, shard_bounds_len_};
-  }
+  bool has_shard_table() const { return !shard_bounds_.empty(); }
+  std::span<const uint64_t> shard_boundaries() const { return shard_bounds_; }
 
   // Embedded byte-compressed chunks, when written with with_compressed.
-  bool has_compressed_chunks() const { return compressed_ != nullptr; }
+  bool has_compressed_chunks() const { return compressed_.data() != nullptr; }
   bool DecodeCompressedChunks(CompressedGraph* out,
                               std::string* error = nullptr) const;
 
-  // Copies the mapped arrays into an owning in-memory Graph (the one O(m)
-  // escape hatch; counted by MappedCsrMaterializations when reached through
-  // GraphHandle::MaterializedCsr).
-  Graph ToGraph() const;
-
  private:
-  void Unmap();
-
+  Graph graph_;  // its owner keeps the mapping (and every span below) alive
   std::string path_;
-  void* base_ = nullptr;
-  size_t map_len_ = 0;
-  NodeId num_nodes_ = 0;
-  EdgeId num_arcs_ = 0;
-  const EdgeId* offsets_ = nullptr;    // n + 1 entries inside the mapping
-  const NodeId* neighbors_ = nullptr;  // num_arcs_ entries inside the mapping
-  const uint64_t* shard_bounds_ = nullptr;
-  size_t shard_bounds_len_ = 0;
-  const uint8_t* compressed_ = nullptr;
-  size_t compressed_len_ = 0;
+  std::span<const uint8_t> file_;
+  std::span<const uint64_t> shard_bounds_;
+  std::span<const uint8_t> compressed_;
 };
-
-// ---- template definitions ----
-
-template <typename F>
-void MappedGraph::MapArcs(F&& fn) const {
-  MapArcsIf([](NodeId) { return true; }, fn);
-}
-
-template <typename F, typename Pred>
-void MappedGraph::MapArcsIf(Pred&& pred, F&& fn) const {
-  const NodeId n = num_nodes_;
-  // Same schedule as Graph::MapArcsIf: vertex-parallel with a modest grain,
-  // reading straight from the mapping.
-  ParallelFor(
-      0, n,
-      [&](size_t ui) {
-        const NodeId u = static_cast<NodeId>(ui);
-        if (!pred(u)) return;
-        const EdgeId lo = offsets_[u];
-        const EdgeId hi = offsets_[u + 1];
-        for (EdgeId e = lo; e < hi; ++e) fn(u, neighbors_[e]);
-      },
-      /*grain=*/64);
-}
 
 }  // namespace connectit
 

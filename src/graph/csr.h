@@ -3,11 +3,19 @@
 // The graph is undirected and stored symmetrically: every undirected edge
 // {u, v} appears both in u's and v's neighbor list. All connectivity
 // algorithms in this library iterate over these directed arcs.
+//
+// A Graph is a read-only view of two arrays plus a shared, type-erased
+// owner that keeps them alive. The arrays either live in memory the graph
+// family owns (the vector constructor, used by BuildGraph and friends) or
+// inside a mapped .cgc container file (MappedContainer, container.h), whose
+// mapping the owner keeps open. Algorithms cannot tell the two apart.
+// Copies share the arrays: Graph has no mutators, so a copy is O(1).
 
 #ifndef CONNECTIT_GRAPH_CSR_H_
 #define CONNECTIT_GRAPH_CSR_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -25,6 +33,18 @@ class Graph {
   // from an edge list.
   Graph(std::vector<EdgeId> offsets, std::vector<NodeId> neighbors);
 
+  // Serves arrays that live inside a file mapping; `mapping` keeps them
+  // alive for as long as any copy of this graph exists. The caller has
+  // validated the CSR shape (MappedContainer::Map does).
+  Graph(std::span<const EdgeId> offsets, std::span<const NodeId> neighbors,
+        std::shared_ptr<const void> mapping);
+
+  Graph(const Graph&) = default;
+  Graph& operator=(const Graph&) = default;
+  // A moved-from graph is the empty graph, as with the vectors it once held.
+  Graph(Graph&& other) noexcept;
+  Graph& operator=(Graph&& other) noexcept;
+
   NodeId num_nodes() const {
     return offsets_.empty() ? 0 : static_cast<NodeId>(offsets_.size() - 1);
   }
@@ -40,8 +60,13 @@ class Graph {
             static_cast<size_t>(degree(v))};
   }
 
-  const std::vector<EdgeId>& offsets() const { return offsets_; }
-  const std::vector<NodeId>& neighbor_array() const { return neighbors_; }
+  std::span<const EdgeId> offsets() const { return offsets_; }
+  std::span<const NodeId> neighbor_array() const { return neighbors_; }
+
+  // True when the arrays are served from a file mapping rather than from
+  // memory the graph owns. Converting such a graph to another
+  // representation copies what the mapping avoids loading.
+  bool mapped() const { return mapped_; }
 
   // Invokes fn(u, v) for every directed arc (u, v), in parallel over source
   // vertices. fn must be thread-safe.
@@ -72,8 +97,10 @@ class Graph {
   }
 
  private:
-  std::vector<EdgeId> offsets_;   // size n + 1
-  std::vector<NodeId> neighbors_; // size num_arcs
+  std::span<const EdgeId> offsets_;    // size n + 1 (0 for Graph())
+  std::span<const NodeId> neighbors_;  // size num_arcs
+  std::shared_ptr<const void> owner_;  // keeps both arrays alive
+  bool mapped_ = false;
 };
 
 // Per-vertex degree statistics used by benches and tests.

@@ -8,13 +8,13 @@
 #include <mutex>
 
 #include "src/graph/builder.h"
+#include "src/graph/container.h"
 
 namespace connectit {
 
 namespace {
 std::atomic<uint64_t> g_coo_csr_materializations{0};
 std::atomic<uint64_t> g_sharded_csr_materializations{0};
-std::atomic<uint64_t> g_mapped_csr_materializations{0};
 }  // namespace
 
 uint64_t CooCsrMaterializations() {
@@ -25,17 +25,12 @@ uint64_t ShardedCsrMaterializations() {
   return g_sharded_csr_materializations.load(std::memory_order_relaxed);
 }
 
-uint64_t MappedCsrMaterializations() {
-  return g_mapped_csr_materializations.load(std::memory_order_relaxed);
-}
-
 const char* ToString(GraphRepresentation rep) {
   switch (rep) {
     case GraphRepresentation::kCsr: return "csr";
     case GraphRepresentation::kCompressed: return "compressed";
     case GraphRepresentation::kCoo: return "coo";
     case GraphRepresentation::kSharded: return "sharded";
-    case GraphRepresentation::kMapped: return "mapped";
   }
   return "unknown";
 }
@@ -50,9 +45,6 @@ GraphHandle::GraphHandle(const EdgeList& edges)
 
 GraphHandle::GraphHandle(const ShardedGraph& graph)
     : sharded_(&graph), flat_cache_(std::make_shared<FlatCsrCache>()) {}
-
-GraphHandle::GraphHandle(const MappedGraph& graph)
-    : mapped_(&graph), flat_cache_(std::make_shared<FlatCsrCache>()) {}
 
 GraphHandle GraphHandle::Adopt(Graph graph) {
   GraphHandle handle;
@@ -88,29 +80,20 @@ GraphHandle GraphHandle::Adopt(ShardedGraph graph) {
   return handle;
 }
 
-GraphHandle GraphHandle::Adopt(MappedGraph graph) {
-  GraphHandle handle;
-  auto owned = std::make_shared<MappedGraph>(std::move(graph));
-  handle.mapped_ = owned.get();
-  handle.owned_ = std::move(owned);
-  handle.flat_cache_ = std::make_shared<FlatCsrCache>();
-  return handle;
-}
-
 GraphHandle GraphHandle::Map(const std::string& path, std::string* error) {
-  MappedGraph mapped;
-  if (!MappedGraph::Map(path, &mapped, error)) return GraphHandle();
-  return Adopt(std::move(mapped));
+  MappedContainer container;
+  if (!MappedContainer::Map(path, &container, error)) return GraphHandle();
+  return Adopt(container.graph());
 }
 
 GraphHandle GraphHandle::MapOrDie(const std::string& path) {
   std::string error;
-  MappedGraph mapped;
-  if (!MappedGraph::Map(path, &mapped, &error)) {
+  MappedContainer container;
+  if (!MappedContainer::Map(path, &container, &error)) {
     std::fprintf(stderr, "GraphHandle::MapOrDie: %s\n", error.c_str());
     std::abort();
   }
-  return Adopt(std::move(mapped));
+  return Adopt(container.graph());
 }
 
 GraphHandle GraphHandle::MapTempOrDie(const Graph& graph) {
@@ -127,15 +110,15 @@ GraphHandle GraphHandle::MapTempOrDie(const Graph& graph) {
   }
   ::close(fd);
   std::string error;
-  MappedGraph mapped;
+  MappedContainer container;
   if (!WriteContainer(path, graph, &error) ||
-      !MappedGraph::Map(path, &mapped, &error)) {
+      !MappedContainer::Map(path, &container, &error)) {
     ::unlink(path.c_str());
     std::fprintf(stderr, "GraphHandle::MapTempOrDie: %s\n", error.c_str());
     std::abort();
   }
   ::unlink(path.c_str());
-  return Adopt(std::move(mapped));
+  return Adopt(container.graph());
 }
 
 GraphHandle GraphHandle::FromEdges(const EdgeList& edges) {
@@ -165,16 +148,6 @@ const Graph& GraphHandle::MaterializedCsr() const {
     std::call_once(flat_cache_->once, [this] {
       flat_cache_->csr = std::make_unique<const Graph>(sharded_->Flatten());
       g_sharded_csr_materializations.fetch_add(1, std::memory_order_relaxed);
-    });
-    return *flat_cache_->csr;
-  }
-  if (mapped_ != nullptr) {
-    // Same contract as sharded: the mapping serves the full adjacency
-    // surface, so registry paths never copy; this exists for flat-CSR-only
-    // consumers and the counter keeps zero-copy serving testable.
-    std::call_once(flat_cache_->once, [this] {
-      flat_cache_->csr = std::make_unique<const Graph>(mapped_->ToGraph());
-      g_mapped_csr_materializations.fetch_add(1, std::memory_order_relaxed);
     });
     return *flat_cache_->csr;
   }

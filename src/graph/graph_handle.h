@@ -32,11 +32,9 @@
 // the handle family, and counts builds in ShardedCsrMaterializations() so
 // tests can pin native sharded runs to zero flattens.
 //
-// Mapped handles (GraphHandle::Map over a .cgc container, container.h) are
-// the zero-copy arm: the MappedGraph serves the same full adjacency surface
-// straight from the page cache, so everything runs on the mapping natively
-// and MaterializedCsr() — counted by MappedCsrMaterializations() — exists
-// only for flat-CSR-only consumers, exactly like the sharded arm.
+// A .cgc container (container.h) is not a representation of its own: it
+// stores the CSR arrays verbatim, so GraphHandle::Map returns a CSR handle
+// whose Graph serves those arrays straight from the mapping.
 
 #ifndef CONNECTIT_GRAPH_GRAPH_HANDLE_H_
 #define CONNECTIT_GRAPH_GRAPH_HANDLE_H_
@@ -47,7 +45,6 @@
 #include <utility>
 
 #include "src/graph/compressed.h"
-#include "src/graph/container.h"
 #include "src/graph/coo.h"
 #include "src/graph/csr.h"
 #include "src/graph/sharded.h"
@@ -60,7 +57,6 @@ enum class GraphRepresentation {
   kCompressed,
   kCoo,
   kSharded,
-  kMapped,
 };
 
 const char* ToString(GraphRepresentation rep);
@@ -77,12 +73,6 @@ uint64_t CooCsrMaterializations();
 // the shards directly, so this counter must not move during registry runs.
 uint64_t ShardedCsrMaterializations();
 
-// Number of mapped -> in-memory-CSR copies performed process-wide (via
-// GraphHandle::MaterializedCsr on a mapped handle). The acceptance gate for
-// zero-copy serving: every variant × sampling × streaming seed runs off the
-// mapping directly, so this counter must not move during registry runs.
-uint64_t MappedCsrMaterializations();
-
 class GraphHandle {
  public:
   // An empty handle behaves as the 0-vertex CSR graph.
@@ -94,7 +84,6 @@ class GraphHandle {
   GraphHandle(const CompressedGraph& graph) : compressed_(&graph) {}
   GraphHandle(const EdgeList& edges);
   GraphHandle(const ShardedGraph& graph);
-  GraphHandle(const MappedGraph& graph);
 
   // A view of a temporary would dangle immediately; use
   // Adopt/Compress/Shard for rvalues.
@@ -102,27 +91,24 @@ class GraphHandle {
   GraphHandle(CompressedGraph&&) = delete;
   GraphHandle(EdgeList&&) = delete;
   GraphHandle(ShardedGraph&&) = delete;
-  GraphHandle(MappedGraph&&) = delete;
 
   // Owning handles (the representation lives as long as any copy).
   static GraphHandle Adopt(Graph graph);
   static GraphHandle Adopt(CompressedGraph graph);
   static GraphHandle Adopt(EdgeList edges);
   static GraphHandle Adopt(ShardedGraph graph);
-  static GraphHandle Adopt(MappedGraph graph);
 
-  // Maps a .cgc container (container.h) as an owning zero-copy handle. On
-  // failure returns an empty handle with a diagnostic in *error. MapOrDie
-  // prints the diagnostic and aborts — the CLI / bench path where a missing
-  // or corrupt file is fatal anyway.
+  // Maps a .cgc container (container.h) as an owning CSR handle served
+  // zero-copy from the mapping. On failure returns an empty handle with a
+  // diagnostic in *error. MapOrDie prints the diagnostic and aborts — the
+  // CLI / bench path where a missing or corrupt file is fatal anyway.
   static GraphHandle Map(const std::string& path, std::string* error = nullptr);
   static GraphHandle MapOrDie(const std::string& path);
 
   // Writes `graph` to a temporary container and maps it back as an owning
-  // handle (the temp file is unlinked once mapped, so it lives exactly as
-  // long as the handle family). This is the one-call CSR -> mapped
-  // conversion used by the facade, benches, and tests; it dies on
-  // environmental failure (unwritable temp dir), not on data errors.
+  // CSR handle (the temp file is unlinked once mapped, so it lives exactly
+  // as long as the mapping). It dies on environmental failure (unwritable
+  // temp dir), not on data errors.
   static GraphHandle MapTempOrDie(const Graph& graph);
 
   // COO input as a first-class representation: the handle owns a copy of
@@ -141,7 +127,6 @@ class GraphHandle {
   GraphRepresentation representation() const {
     // Exhaustive over every representation a handle can hold; a default
     // handle reads as the empty CSR graph.
-    if (mapped_ != nullptr) return GraphRepresentation::kMapped;
     if (sharded_ != nullptr) return GraphRepresentation::kSharded;
     if (coo_ != nullptr) return GraphRepresentation::kCoo;
     if (compressed_ != nullptr) return GraphRepresentation::kCompressed;
@@ -157,26 +142,23 @@ class GraphHandle {
   const CompressedGraph* compressed() const { return compressed_; }
   const EdgeList* coo() const { return coo_; }
   const ShardedGraph* sharded() const { return sharded_; }
-  const MappedGraph* mapped() const { return mapped_; }
 
-  // COO, sharded, and mapped handles only: the flat-CSR materialization of
-  // the representation — built through BuildGraph (COO: symmetrized,
-  // deduplicated), ShardedGraph::Flatten (sharded), or MappedGraph::ToGraph
-  // (mapped) on first call (thread-safe) and cached, so copies of the
-  // handle share one build. Each build increments the per-representation
-  // counter (CooCsrMaterializations / ShardedCsrMaterializations /
-  // MappedCsrMaterializations).
+  // COO and sharded handles only: the flat-CSR materialization of the
+  // representation — built through BuildGraph (COO: symmetrized,
+  // deduplicated) or ShardedGraph::Flatten (sharded) on first call
+  // (thread-safe) and cached, so copies of the handle share one build. Each
+  // build increments the per-representation counter
+  // (CooCsrMaterializations / ShardedCsrMaterializations). A CSR handle is
+  // its own materialization.
   const Graph& MaterializedCsr() const;
 
   // Invokes `visitor` with the concrete representation (`const Graph&`,
-  // `const CompressedGraph&`, `const EdgeList&`, `const ShardedGraph&`, or
-  // `const MappedGraph&`). This is the single dispatch point the registry
-  // uses to instantiate the templated framework per representation;
-  // visitors that need adjacency on an EdgeList arm escalate explicitly via
-  // MaterializedCsr().
+  // `const CompressedGraph&`, `const EdgeList&`, or `const ShardedGraph&`).
+  // This is the single dispatch point the registry uses to instantiate the
+  // templated framework per representation; visitors that need adjacency on
+  // an EdgeList arm escalate explicitly via MaterializedCsr().
   template <typename Visitor>
   decltype(auto) Visit(Visitor&& visitor) const {
-    if (mapped_ != nullptr) return visitor(*mapped_);
     if (sharded_ != nullptr) return visitor(*sharded_);
     if (coo_ != nullptr) return visitor(*coo_);
     if (compressed_ != nullptr) return visitor(*compressed_);
@@ -185,21 +167,18 @@ class GraphHandle {
   }
 
   NodeId num_nodes() const {
-    if (mapped_ != nullptr) return mapped_->num_nodes();
     if (sharded_ != nullptr) return sharded_->num_nodes();
     if (coo_ != nullptr) return coo_->num_nodes;
     return compressed_ != nullptr ? compressed_->num_nodes()
                                   : (csr_ != nullptr ? csr_->num_nodes() : 0);
   }
   EdgeId num_arcs() const {
-    if (mapped_ != nullptr) return mapped_->num_arcs();
     if (sharded_ != nullptr) return sharded_->num_arcs();
     if (coo_ != nullptr) return static_cast<EdgeId>(coo_->size()) * 2;
     return compressed_ != nullptr ? compressed_->num_arcs()
                                   : (csr_ != nullptr ? csr_->num_arcs() : 0);
   }
   EdgeId num_edges() const {
-    if (mapped_ != nullptr) return mapped_->num_edges();
     if (sharded_ != nullptr) return sharded_->num_edges();
     if (coo_ != nullptr) return static_cast<EdgeId>(coo_->size());
     return compressed_ != nullptr ? compressed_->num_edges()
@@ -218,11 +197,10 @@ class GraphHandle {
   const CompressedGraph* compressed_ = nullptr;
   const EdgeList* coo_ = nullptr;
   const ShardedGraph* sharded_ = nullptr;
-  const MappedGraph* mapped_ = nullptr;
   // Set only for owning handles; keeps whichever representation the raw
   // pointers reference alive across copies.
   std::shared_ptr<const void> owned_;
-  // Set for every COO, sharded, or mapped handle (view or owning).
+  // Set for every COO or sharded handle (view or owning).
   std::shared_ptr<FlatCsrCache> flat_cache_;
 };
 

@@ -146,11 +146,16 @@ bool ReadGraphBinary(const std::string& path, Graph* out, std::string* error) {
     return ReadLegacyGraphBinary(in, path, out, error);
   }
   in.close();
-  // Anything else must be a container; MappedGraph::Map produces the
-  // precise diagnostic (bad magic, truncation, checksum mismatch, ...).
-  MappedGraph mapped;
-  if (!MappedGraph::Map(path, &mapped, error)) return false;
-  *out = mapped.ToGraph();
+  // Anything else must be a container; MappedContainer::Map produces the
+  // precise diagnostic (bad magic, truncation, checksum mismatch, ...). The
+  // caller gets an in-memory copy that does not hold the file open.
+  MappedContainer container;
+  if (!MappedContainer::Map(path, &container, error)) return false;
+  const Graph& mapped = container.graph();
+  *out = Graph(std::vector<EdgeId>(mapped.offsets().begin(),
+                                   mapped.offsets().end()),
+               std::vector<NodeId>(mapped.neighbor_array().begin(),
+                                   mapped.neighbor_array().end()));
   return true;
 }
 

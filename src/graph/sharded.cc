@@ -23,8 +23,8 @@ ShardedGraph ShardedGraph::Partition(const Graph& graph, size_t num_shards) {
   sharded.placement_nodes_ = NumaTopology::Get().num_nodes();
   sharded.shards_.resize(num_shards);
 
-  const std::vector<EdgeId>& offsets = graph.offsets();
-  const std::vector<NodeId>& neighbors = graph.neighbor_array();
+  const std::span<const EdgeId> offsets = graph.offsets();
+  const std::span<const NodeId> neighbors = graph.neighbor_array();
   // Node-affine fill: shard si is allocated and written by a worker bound
   // to node NodeOfShard(si), so under the kernel's first-touch policy the
   // shard's pages land on the node whose workers sweep it later.

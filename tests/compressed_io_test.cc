@@ -21,8 +21,10 @@ TEST(Compressed, RoundTripsEveryBasketGraph) {
     EXPECT_EQ(cg.num_nodes(), g.num_nodes()) << name;
     EXPECT_EQ(cg.num_arcs(), g.num_arcs()) << name;
     const Graph decoded = cg.Decode();
-    EXPECT_EQ(decoded.offsets(), g.offsets()) << name;
-    EXPECT_EQ(decoded.neighbor_array(), g.neighbor_array()) << name;
+    EXPECT_EQ(testing::AsVector(decoded.offsets()),
+              testing::AsVector(g.offsets())) << name;
+    EXPECT_EQ(testing::AsVector(decoded.neighbor_array()),
+              testing::AsVector(g.neighbor_array())) << name;
   }
 }
 
@@ -102,8 +104,10 @@ TEST(Io, BinaryRoundTrip) {
   ASSERT_TRUE(WriteGraphBinary(path, g));
   Graph loaded;
   ASSERT_TRUE(ReadGraphBinary(path, &loaded));
-  EXPECT_EQ(loaded.offsets(), g.offsets());
-  EXPECT_EQ(loaded.neighbor_array(), g.neighbor_array());
+  EXPECT_EQ(testing::AsVector(loaded.offsets()),
+            testing::AsVector(g.offsets()));
+  EXPECT_EQ(testing::AsVector(loaded.neighbor_array()),
+            testing::AsVector(g.neighbor_array()));
   std::remove(path.c_str());
 }
 

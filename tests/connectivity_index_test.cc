@@ -7,6 +7,8 @@
 // concurrent reads during ingest.
 
 #include <atomic>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "src/core/registry.h"
 #include "src/graph/builder.h"
 #include "src/graph/compressed.h"
+#include "src/graph/container.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_handle.h"
 #include "src/graph/sharded.h"
@@ -249,6 +252,35 @@ TEST(ConnectivitySpec, AutoPicksSamplingByDensityAndStreamableVariants) {
   index.Build(dense).Stream();
   index.Insert({{0, 1}});
   EXPECT_TRUE(index.SameComponent(0, 1));
+}
+
+// Auto reshards a big dense in-memory CSR, but never a CSR served from a
+// container mapping: that would copy into memory what the mapping avoids
+// loading.
+TEST(ConnectivitySpec, AutoNeverReshardsAMappedGraph) {
+  // Circulant graph: n = 2^18 vertices of degree 8, just over both
+  // resharding thresholds.
+  const NodeId n = NodeId{1} << 18;
+  std::vector<Edge> edges;
+  edges.reserve(4 * static_cast<size_t>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    for (NodeId d = 1; d <= 4; ++d) edges.push_back({v, (v + d) % n});
+  }
+  const Graph graph = BuildGraph(n, edges);
+  ASSERT_EQ(graph.num_arcs(), 8 * static_cast<EdgeId>(n));
+  EXPECT_EQ(Connectivity::Spec::Auto(graph).representation(),
+            GraphRepresentation::kSharded);
+
+  const std::string path = ::testing::TempDir() + "/auto_mapped.cgc";
+  std::string error;
+  MappedContainer container;
+  ASSERT_TRUE(WriteContainer(path, graph, &error)) << error;
+  ASSERT_TRUE(MappedContainer::Map(path, &container, &error)) << error;
+  std::remove(path.c_str());
+  const GraphHandle mapped(container.graph());
+  const Connectivity::Spec spec = Connectivity::Spec::Auto(mapped);
+  EXPECT_FALSE(spec.representation().has_value());
+  EXPECT_EQ(spec.sampling().option, SamplingOption::kKOut);
 }
 
 TEST(Connectivity, MoveTransfersBuiltState) {

@@ -1,12 +1,15 @@
-// Fault injection for the container loader (ISSUE 9): flip or truncate
-// every header field and section of a valid .cgc and require that
-// MappedGraph::Map fails cleanly — false return, non-empty diagnostic,
-// *out left unmapped — and never crashes or exposes a partial graph. The
-// systematic sweep XORs every byte of the header + section table; the named
-// cases pin the precise diagnostic for each class of damage (bad magic,
+// Fault injection for the container loader: flip or truncate every header
+// field and section of a valid .cgc and require that MappedContainer::Map
+// fails cleanly — false return, non-empty diagnostic, *out left unmapped —
+// and never crashes or exposes a partial graph. The systematic sweep XORs
+// every byte of the header + section table; the named cases pin the
+// precise diagnostic for each class of damage (bad magic,
 // unsupported version, unknown flags, out-of-range or misaligned sections,
-// checksum mismatches, truncations, malformed shard tables) so error
-// messages stay actionable. The OrDie path is death-tested.
+// checksum mismatches, truncations, malformed offsets, out-of-range
+// neighbor ids, malformed shard tables) so error messages stay actionable.
+// Damage behind a restamped checksum (a buggy writer) must still be caught
+// by the structural checks, which always run. The OrDie path is
+// death-tested.
 
 #include <algorithm>
 #include <cstdint>
@@ -111,6 +114,17 @@ void Restamp(Bytes* bytes) {
   std::memcpy(bytes->data() + 56, &header_checksum, sizeof(header_checksum));
 }
 
+// Recomputes section i's payload checksum after a deliberate payload patch
+// (then the table and header checksums), so only the structural checks
+// behind the checksum gate can reject the damage.
+void RestampSection(Bytes* bytes, int i) {
+  ContainerSection section = SectionAt(*bytes, i);
+  section.checksum =
+      ContainerChecksum(bytes->data() + section.offset, section.length);
+  PutSection(bytes, i, section);
+  Restamp(bytes);
+}
+
 struct MapAttempt {
   bool ok = false;
   std::string error;
@@ -118,31 +132,28 @@ struct MapAttempt {
 
 // Writes the (corrupted) bytes to a fresh file and tries both loaders. The
 // contract under test: clean failure — no crash, a diagnostic, no partial
-// graph — through MappedGraph::Map AND the ReadGraphBinary facade.
-MapAttempt TryMap(const Bytes& bytes,
-                  const ContainerMapOptions& options = {}) {
+// graph — through MappedContainer::Map AND the ReadGraphBinary facade.
+MapAttempt TryMap(const Bytes& bytes) {
   const std::string path = TempPath("corrupt_attempt.cgc");
   WriteAll(path, bytes);
   MapAttempt attempt;
-  MappedGraph mapped;
-  attempt.ok = MappedGraph::Map(path, &mapped, &attempt.error, options);
+  MappedContainer container;
+  attempt.ok = MappedContainer::Map(path, &container, &attempt.error);
   if (!attempt.ok) {
-    EXPECT_FALSE(mapped.mapped()) << "loader failed but left a mapping";
+    EXPECT_EQ(container.file_bytes(), 0u) << "loader failed but left a mapping";
+    EXPECT_EQ(container.graph().num_nodes(), 0u) << "partial graph exposed";
     EXPECT_FALSE(attempt.error.empty()) << "loader failed without diagnostic";
-    if (options.verify_checksums) {
-      Graph out;
-      std::string facade_error;
-      EXPECT_FALSE(ReadGraphBinary(path, &out, &facade_error));
-      EXPECT_FALSE(facade_error.empty());
-    }
+    Graph out;
+    std::string facade_error;
+    EXPECT_FALSE(ReadGraphBinary(path, &out, &facade_error));
+    EXPECT_FALSE(facade_error.empty());
   }
   std::remove(path.c_str());
   return attempt;
 }
 
-void ExpectRejected(const Bytes& bytes, const std::string& want_substring,
-                    const ContainerMapOptions& options = {}) {
-  const MapAttempt attempt = TryMap(bytes, options);
+void ExpectRejected(const Bytes& bytes, const std::string& want_substring) {
+  const MapAttempt attempt = TryMap(bytes);
   EXPECT_FALSE(attempt.ok) << "corrupt container was accepted";
   if (!want_substring.empty()) {
     EXPECT_NE(attempt.error.find(want_substring), std::string::npos)
@@ -308,28 +319,28 @@ TEST(ContainerCorruption, FlippedByteInNeighborsPayload) {
   ExpectRejected(corrupt, "neighbors section checksum mismatch");
 }
 
+// ---- payload damage behind a valid checksum (a buggy writer): only the
+// structural checks, which always run, can catch these ----
+
 TEST(ContainerCorruption, OutOfRangeNeighborIdBehindValidChecksum) {
-  // Damage written *before* checksumming (a buggy writer): patch a neighbor
-  // id out of range and restamp the section checksum — only the deep
-  // validation pass can catch this one.
-  Bytes corrupt = ValidContainer();
-  const ContainerHeader header = HeaderOf(corrupt);
-  const int i = FindSection(corrupt, SectionKind::kNeighbors);
-  ASSERT_GE(i, 0);
-  ContainerSection section = SectionAt(corrupt, i);
-  ASSERT_GE(section.length, sizeof(NodeId));
-  const NodeId bogus = static_cast<NodeId>(header.num_nodes + 5);
-  std::memcpy(corrupt.data() + section.offset, &bogus, sizeof(bogus));
-  section.checksum =
-      ContainerChecksum(corrupt.data() + section.offset, section.length);
-  PutSection(&corrupt, i, section);
-  Restamp(&corrupt);
-  ExpectRejected(corrupt, "neighbor id out of range");
+  // Union-find indexes its parent array with every neighbor id, so an id
+  // just past n and one far past it (4e9, near the 32-bit limit) must both
+  // be refused before any algorithm sees the graph.
+  const ContainerHeader header = HeaderOf(ValidContainer());
+  for (const NodeId bogus : {static_cast<NodeId>(header.num_nodes + 5),
+                             NodeId{4000000000u}}) {
+    Bytes corrupt = ValidContainer();
+    const int i = FindSection(corrupt, SectionKind::kNeighbors);
+    ASSERT_GE(i, 0);
+    const ContainerSection section = SectionAt(corrupt, i);
+    ASSERT_GE(section.length, sizeof(NodeId));
+    std::memcpy(corrupt.data() + section.offset, &bogus, sizeof(bogus));
+    RestampSection(&corrupt, i);
+    ExpectRejected(corrupt, "neighbor id out of range");
+  }
 }
 
-TEST(ContainerCorruption, ShapeChecksStillRunWithChecksumsSkipped) {
-  // verify_checksums=false skips the O(file) scrub but must still refuse an
-  // offsets array that disagrees with the header's arc count.
+TEST(ContainerCorruption, OffsetsEndDisagreesWithArcCountBehindValidChecksum) {
   Bytes corrupt = ValidContainer();
   const ContainerHeader header = HeaderOf(corrupt);
   const int i = FindSection(corrupt, SectionKind::kOffsets);
@@ -339,12 +350,26 @@ TEST(ContainerCorruption, ShapeChecksStillRunWithChecksumsSkipped) {
   std::memcpy(corrupt.data() + section.offset + section.length -
                   sizeof(uint64_t),
               &bogus_last, sizeof(bogus_last));
-  ContainerMapOptions no_verify;
-  no_verify.verify_checksums = false;
-  ExpectRejected(corrupt, "does not match the header arc count", no_verify);
+  RestampSection(&corrupt, i);
+  ExpectRejected(corrupt, "does not match the header arc count");
 }
 
-// ---- shard-table malformations (reached with checksums skipped, so the
+TEST(ContainerCorruption, NonMonotoneOffsetsBehindValidChecksum) {
+  Bytes corrupt = ValidContainer();
+  const ContainerHeader header = HeaderOf(corrupt);
+  ASSERT_GE(header.num_nodes, 2u);
+  const int i = FindSection(corrupt, SectionKind::kOffsets);
+  ASSERT_GE(i, 0);
+  const ContainerSection section = SectionAt(corrupt, i);
+  // offsets[1] past offsets[2]; offsets[0] and offsets[n] stay valid.
+  const uint64_t too_big = header.num_arcs + 100;
+  std::memcpy(corrupt.data() + section.offset + sizeof(uint64_t), &too_big,
+              sizeof(too_big));
+  RestampSection(&corrupt, i);
+  ExpectRejected(corrupt, "offsets array is not monotone");
+}
+
+// ---- shard-table malformations (section checksum restamped, so the
 // structural checks themselves are what rejects) ----
 
 TEST(ContainerCorruption, ShardTableMalformations) {
@@ -352,14 +377,13 @@ TEST(ContainerCorruption, ShardTableMalformations) {
   const int i = FindSection(valid, SectionKind::kShardTable);
   ASSERT_GE(i, 0);
   const ContainerSection section = SectionAt(valid, i);
-  ContainerMapOptions no_verify;
-  no_verify.verify_checksums = false;
 
   {  // boundaries must start at 0
     Bytes corrupt = valid;
     const uint64_t one = 1;
     std::memcpy(corrupt.data() + section.offset, &one, sizeof(one));
-    ExpectRejected(corrupt, "shard boundaries must start at 0", no_verify);
+    RestampSection(&corrupt, i);
+    ExpectRejected(corrupt, "shard boundaries must start at 0");
   }
   {  // boundaries must be monotone
     Bytes corrupt = valid;
@@ -367,15 +391,16 @@ TEST(ContainerCorruption, ShardTableMalformations) {
     const uint64_t huge = ~uint64_t{0} / 2;
     std::memcpy(corrupt.data() + section.offset + sizeof(uint64_t), &huge,
                 sizeof(huge));
-    ExpectRejected(corrupt, "monotone", no_verify);
+    RestampSection(&corrupt, i);
+    ExpectRejected(corrupt, "monotone");
   }
   {  // length must be a positive multiple of 8
     Bytes corrupt = valid;
     ContainerSection damaged = section;
     damaged.length -= 4;
     PutSection(&corrupt, i, damaged);
-    Restamp(&corrupt);
-    ExpectRejected(corrupt, "multiple of 8", no_verify);
+    RestampSection(&corrupt, i);
+    ExpectRejected(corrupt, "multiple of 8");
   }
 }
 
@@ -403,10 +428,10 @@ TEST(ContainerCorruption, TruncationsAtEveryLayer) {
 }
 
 TEST(ContainerCorruption, MissingFileReportsOpenError) {
-  MappedGraph mapped;
+  MappedContainer container;
   std::string error;
-  EXPECT_FALSE(
-      MappedGraph::Map(TempPath("no_such_container.cgc"), &mapped, &error));
+  EXPECT_FALSE(MappedContainer::Map(TempPath("no_such_container.cgc"),
+                                    &container, &error));
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 

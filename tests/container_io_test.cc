@@ -1,13 +1,14 @@
-// Container round-trip properties (ISSUE 9): every graph in the
-// correctness basket — empty, single-vertex, isolated vertices, self-loop
-// inputs, ragged degrees, random graphs — written to a .cgc and mapped back
-// must be bit-for-bit identical to the in-memory CSR, whether the container
-// was written from a flat Graph, a ShardedGraph partition, or streamed
-// shard-at-a-time through ContainerWriter (the out-of-core converter path).
-// Connectivity labels computed on the mapping must equal the CSR labels
-// with the mapped-materialization counter pinned at zero, and the legacy v0
-// flat dump (tests/testdata/v0_graph.bin, committed) must stay loadable
-// through ReadGraphBinary.
+// Container round-trip properties: every graph in the correctness basket —
+// empty, single-vertex, isolated vertices, self-loop inputs, ragged degrees,
+// random graphs — written to a .cgc and mapped back must be bit-for-bit
+// identical to the in-memory CSR, whether the container was written from a
+// flat Graph, a ShardedGraph partition, or streamed shard-at-a-time through
+// ContainerWriter (the out-of-core converter path). Connectivity labels
+// computed on the mapping must equal the CSR labels while the graph the
+// runs read provably lies inside the mapped file (MappedContainer::Serves),
+// a Graph copied out of a mapped handle must outlive the handle and the
+// reader, and the legacy v0 flat dump (tests/testdata/v0_graph.bin,
+// committed) must stay loadable through ReadGraphBinary.
 
 #include <algorithm>
 #include <cstdio>
@@ -48,9 +49,13 @@ std::vector<char> ReadFileBytes(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-void ExpectMappedMatchesGraph(const MappedGraph& mapped, const Graph& graph,
-                              const std::string& context) {
-  ASSERT_TRUE(mapped.mapped()) << context;
+void ExpectMappedMatchesGraph(const MappedContainer& container,
+                              const Graph& graph, const std::string& context) {
+  ASSERT_GT(container.file_bytes(), 0u) << context;
+  const Graph& mapped = container.graph();
+  // Zero-copy: both arrays lie inside the mapped file's bytes.
+  EXPECT_TRUE(mapped.mapped()) << context;
+  EXPECT_TRUE(container.Serves(mapped)) << context;
   EXPECT_EQ(mapped.num_nodes(), graph.num_nodes()) << context;
   EXPECT_EQ(mapped.num_arcs(), graph.num_arcs()) << context;
   EXPECT_EQ(mapped.num_edges(), graph.num_edges()) << context;
@@ -83,14 +88,13 @@ TEST(ContainerRoundTrip, BasketGraphsBitForBit) {
     const std::string path = TempPath("roundtrip_" + name + ".cgc");
     std::string error;
     ASSERT_TRUE(WriteContainer(path, graph, &error)) << name << ": " << error;
-    MappedGraph mapped;
-    ASSERT_TRUE(MappedGraph::Map(path, &mapped, &error))
+    MappedContainer container;
+    ASSERT_TRUE(MappedContainer::Map(path, &container, &error))
         << name << ": " << error;
-    ExpectMappedMatchesGraph(mapped, graph, name);
-    // ToGraph is the O(m) escape hatch; it must reproduce the arrays too.
-    const Graph copied = mapped.ToGraph();
-    EXPECT_EQ(copied.offsets(), graph.offsets()) << name;
-    EXPECT_EQ(copied.neighbor_array(), graph.neighbor_array()) << name;
+    ExpectMappedMatchesGraph(container, graph, name);
+    // Copying the Graph shares the mapped arrays instead of copying them.
+    const Graph copied = container.graph();
+    EXPECT_TRUE(container.Serves(copied)) << name;
     std::remove(path.c_str());
   }
 }
@@ -103,10 +107,10 @@ TEST(ContainerRoundTrip, RaggedDegreesHandBuilt) {
   const std::string path = TempPath("ragged.cgc");
   std::string error;
   ASSERT_TRUE(WriteContainer(path, graph, &error)) << error;
-  MappedGraph mapped;
-  ASSERT_TRUE(MappedGraph::Map(path, &mapped, &error)) << error;
-  ExpectMappedMatchesGraph(mapped, graph, "ragged");
-  EXPECT_EQ(mapped.degree(6), 0u);  // the isolated vertex
+  MappedContainer container;
+  ASSERT_TRUE(MappedContainer::Map(path, &container, &error)) << error;
+  ExpectMappedMatchesGraph(container, graph, "ragged");
+  EXPECT_EQ(container.graph().degree(6), 0u);  // the isolated vertex
   std::remove(path.c_str());
 }
 
@@ -114,8 +118,9 @@ TEST(ContainerRoundTrip, EmptyGraphShape) {
   const std::string path = TempPath("empty.cgc");
   std::string error;
   ASSERT_TRUE(WriteContainer(path, BuildGraph(0, {}), &error)) << error;
-  MappedGraph mapped;
-  ASSERT_TRUE(MappedGraph::Map(path, &mapped, &error)) << error;
+  MappedContainer container;
+  ASSERT_TRUE(MappedContainer::Map(path, &container, &error)) << error;
+  const Graph& mapped = container.graph();
   EXPECT_EQ(mapped.num_nodes(), 0u);
   EXPECT_EQ(mapped.num_arcs(), 0u);
   ASSERT_EQ(mapped.offsets().size(), 1u);  // the single sentinel offset
@@ -164,14 +169,16 @@ TEST(ContainerRoundTrip, ShardedWriterMatchesFlatAdjacency) {
 
   // All three serve the identical adjacency.
   for (const std::string& path : {flat_path, sharded_path, streamed_path}) {
-    MappedGraph mapped;
-    ASSERT_TRUE(MappedGraph::Map(path, &mapped, &error)) << path << error;
-    ExpectMappedMatchesGraph(mapped, graph, path);
+    MappedContainer container;
+    ASSERT_TRUE(MappedContainer::Map(path, &container, &error))
+        << path << error;
+    ExpectMappedMatchesGraph(container, graph, path);
   }
 
   // The sharded files carry the partition table; the flat one does not.
-  MappedGraph with_table;
-  ASSERT_TRUE(MappedGraph::Map(sharded_path, &with_table, &error)) << error;
+  MappedContainer with_table;
+  ASSERT_TRUE(MappedContainer::Map(sharded_path, &with_table, &error))
+      << error;
   ASSERT_TRUE(with_table.has_shard_table());
   const auto bounds = with_table.shard_boundaries();
   ASSERT_EQ(bounds.size(), kShards + 1);
@@ -180,8 +187,9 @@ TEST(ContainerRoundTrip, ShardedWriterMatchesFlatAdjacency) {
   for (size_t s = 0; s < kShards; ++s) {
     EXPECT_EQ(bounds[s], partition.shard(s).first) << "shard " << s;
   }
-  MappedGraph without_table;
-  ASSERT_TRUE(MappedGraph::Map(flat_path, &without_table, &error)) << error;
+  MappedContainer without_table;
+  ASSERT_TRUE(MappedContainer::Map(flat_path, &without_table, &error))
+      << error;
   EXPECT_FALSE(without_table.has_shard_table());
 
   std::remove(flat_path.c_str());
@@ -214,12 +222,12 @@ TEST(ContainerRoundTrip, CompressedChunksRoundTrip) {
   ContainerWriteOptions options;
   options.with_compressed = true;
   ASSERT_TRUE(WriteContainer(path, graph, &error, options)) << error;
-  MappedGraph mapped;
-  ASSERT_TRUE(MappedGraph::Map(path, &mapped, &error)) << error;
-  ExpectMappedMatchesGraph(mapped, graph, "with_compressed");
-  ASSERT_TRUE(mapped.has_compressed_chunks());
+  MappedContainer container;
+  ASSERT_TRUE(MappedContainer::Map(path, &container, &error)) << error;
+  ExpectMappedMatchesGraph(container, graph, "with_compressed");
+  ASSERT_TRUE(container.has_compressed_chunks());
   CompressedGraph decoded;
-  ASSERT_TRUE(mapped.DecodeCompressedChunks(&decoded, &error)) << error;
+  ASSERT_TRUE(container.DecodeCompressedChunks(&decoded, &error)) << error;
   EXPECT_EQ(decoded.num_nodes(), graph.num_nodes());
   EXPECT_EQ(decoded.num_arcs(), graph.num_arcs());
   // The embedded encoding serves the same connectivity as the CSR.
@@ -229,7 +237,7 @@ TEST(ContainerRoundTrip, CompressedChunksRoundTrip) {
   std::remove(path.c_str());
 }
 
-// ---- labels bit-for-bit across sources, zero-copy pinned ----
+// ---- labels bit-for-bit across sources, zero-copy pinned by address ----
 
 TEST(ContainerLabels, MappedLabelsMatchCsrAcrossSources) {
   for (const auto& [name, graph] : testing::SmallBasket()) {
@@ -250,18 +258,19 @@ TEST(ContainerLabels, MappedLabelsMatchCsrAcrossSources) {
     // temp-container path (the same bytes as the flat writer).
     const GraphHandle coo_mapped =
         GraphHandle::MapTempOrDie(BuildGraph(edges));
+    ASSERT_TRUE(coo_mapped.csr()->mapped()) << name;
     for (const std::string& path : {flat_path, sharded_path}) {
-      const uint64_t pinned = MappedCsrMaterializations();
-      const GraphHandle handle = GraphHandle::MapOrDie(path);
-      ASSERT_EQ(handle.representation(), GraphRepresentation::kMapped);
+      MappedContainer container;
+      ASSERT_TRUE(MappedContainer::Map(path, &container, &error)) << error;
+      const GraphHandle handle(container.graph());
+      ASSERT_EQ(handle.representation(), GraphRepresentation::kCsr);
+      ASSERT_TRUE(container.Serves(*handle.csr())) << name << " " << path;
       EXPECT_EQ(CanonicalizeLabels(v->run(handle, SamplingConfig::None())),
                 want)
           << name << " " << path;
       EXPECT_EQ(CanonicalizeLabels(v->run(handle, SamplingConfig::KOut())),
                 want)
           << name << " " << path;
-      EXPECT_EQ(MappedCsrMaterializations(), pinned)
-          << "a mapped run materialized a CSR: " << name << " " << path;
     }
     EXPECT_EQ(CanonicalizeLabels(v->run(coo_mapped, SamplingConfig::None())),
               want)
@@ -271,35 +280,41 @@ TEST(ContainerLabels, MappedLabelsMatchCsrAcrossSources) {
   }
 }
 
-// Every registered variant runs off the mapping without materializing: the
-// full-registry form of the zero-copy pin (sampling covered above; kNone
-// here keeps the sweep fast).
+// Every registered variant runs off the mapping: the full-registry form of
+// the zero-copy pin (sampling covered above; kNone here keeps the sweep
+// fast).
 TEST(ContainerLabels, EveryVariantServesZeroCopy) {
   const Graph graph = GenerateComponentMixture(800, 6, /*seed=*/29);
-  const GraphHandle mapped = GraphHandle::MapTempOrDie(graph);
+  const std::string path = TempPath("every_variant.cgc");
+  std::string error;
+  MappedContainer container;
+  ASSERT_TRUE(WriteContainer(path, graph, &error)) << error;
+  ASSERT_TRUE(MappedContainer::Map(path, &container, &error)) << error;
+  std::remove(path.c_str());  // the mapping outlives the file name
+  const GraphHandle mapped(container.graph());
+  ASSERT_TRUE(container.Serves(*mapped.csr()));
   const Variant* reference = &DefaultVariant();
   const std::vector<NodeId> want = CanonicalizeLabels(
       reference->run(GraphHandle(graph), SamplingConfig::None()));
-  const uint64_t pinned = MappedCsrMaterializations();
   for (const Variant& v : AllVariants()) {
     EXPECT_EQ(CanonicalizeLabels(v.run(mapped, SamplingConfig::None())), want)
         << "variant=" << v.name;
   }
-  EXPECT_EQ(MappedCsrMaterializations(), pinned)
-      << "a variant materialized a CSR from the mapping";
 }
 
-TEST(ContainerLabels, MaterializedCsrCountedOnceAndCached) {
+// A mapped CSR handle is its own materialization: the flat-CSR escape hatch
+// hands back the mapped graph itself, never a copy.
+TEST(ContainerLabels, MaterializedCsrIsTheMappedGraph) {
   const Graph graph = GenerateGrid(20, 20);
-  const GraphHandle handle = GraphHandle::MapTempOrDie(graph);
-  const GraphHandle copy = handle;  // shares the materialization cache
-  const uint64_t before = MappedCsrMaterializations();
-  const Graph& first = handle.MaterializedCsr();
-  EXPECT_EQ(first.offsets(), graph.offsets());
-  EXPECT_EQ(first.neighbor_array(), graph.neighbor_array());
-  EXPECT_EQ(MappedCsrMaterializations(), before + 1);
-  EXPECT_EQ(&copy.MaterializedCsr(), &first);  // cached, not rebuilt
-  EXPECT_EQ(MappedCsrMaterializations(), before + 1);
+  const std::string path = TempPath("materialized.cgc");
+  std::string error;
+  MappedContainer container;
+  ASSERT_TRUE(WriteContainer(path, graph, &error)) << error;
+  ASSERT_TRUE(MappedContainer::Map(path, &container, &error)) << error;
+  std::remove(path.c_str());
+  const GraphHandle handle(container.graph());
+  EXPECT_EQ(&handle.MaterializedCsr(), &container.graph());
+  EXPECT_TRUE(container.Serves(handle.MaterializedCsr()));
 }
 
 // ---- io.h migration: binary files are containers now, the legacy v0 dump
@@ -315,7 +330,8 @@ TEST(IoMigration, WriteGraphBinaryEmitsContainerMagic) {
   EXPECT_EQ(magic, kContainerMagic);
   Graph back;
   ASSERT_TRUE(ReadGraphBinary(path, &back, &error)) << error;
-  EXPECT_EQ(back.offsets(), GeneratePath(16).offsets());
+  EXPECT_EQ(testing::AsVector(back.offsets()),
+            testing::AsVector(GeneratePath(16).offsets()));
   std::remove(path.c_str());
 }
 
@@ -328,16 +344,19 @@ TEST(IoMigration, LegacyV0FixtureStaysLoadable) {
   std::string error;
   ASSERT_TRUE(ReadGraphBinary(TestDataPath("v0_graph.bin"), &got, &error))
       << error;
-  EXPECT_EQ(got.offsets(), want.offsets());
-  EXPECT_EQ(got.neighbor_array(), want.neighbor_array());
+  EXPECT_EQ(testing::AsVector(got.offsets()),
+            testing::AsVector(want.offsets()));
+  EXPECT_EQ(testing::AsVector(got.neighbor_array()),
+            testing::AsVector(want.neighbor_array()));
 }
 
 TEST(IoMigration, LegacyRejectedByMappedLoaderWithReconvertHint) {
   // The mmap loader refuses the legacy dump, pointing at the converter; the
   // transparent ReadGraphBinary path is how old files stay readable.
-  MappedGraph mapped;
+  MappedContainer container;
   std::string error;
-  EXPECT_FALSE(MappedGraph::Map(TestDataPath("v0_graph.bin"), &mapped, &error));
+  EXPECT_FALSE(
+      MappedContainer::Map(TestDataPath("v0_graph.bin"), &container, &error));
   EXPECT_NE(error.find("legacy"), std::string::npos) << error;
   EXPECT_NE(error.find("graph_tool convert"), std::string::npos) << error;
 }
@@ -369,28 +388,60 @@ TEST(IoErrors, TruncatedLegacyReportsFieldAndOffset) {
   std::remove(path.c_str());
 }
 
-// ---- GraphHandle mapped arm plumbing ----
+// ---- GraphHandle::Map: a CSR handle over the mapping ----
 
 TEST(MappedHandle, MapFailureReturnsEmptyHandleWithError) {
   std::string error;
   const GraphHandle handle =
       GraphHandle::Map(TempPath("missing.cgc"), &error);
-  EXPECT_EQ(handle.mapped(), nullptr);
+  EXPECT_EQ(handle.csr(), nullptr);
   EXPECT_EQ(handle.num_nodes(), 0u);
   EXPECT_FALSE(error.empty());
 }
 
-TEST(MappedHandle, ChecksumSkipStillValidatesShape) {
-  const Graph graph = GenerateCycle(50);
-  const std::string path = TempPath("no_verify.cgc");
+// The owner inside Graph keeps the mapping open: a Graph copied out of a
+// mapped handle, and one copied out of the reader, stay valid after the
+// handle, the reader and the file name are all gone. Under ASan (CI) a
+// dangling array would fault here.
+TEST(MappedHandle, GraphCopyOutlivesHandleAndReader) {
+  const Graph graph = GenerateComponentMixture(700, 5, /*seed=*/37);
+  const std::string path = TempPath("lifetime.cgc");
   std::string error;
   ASSERT_TRUE(WriteContainer(path, graph, &error)) << error;
-  ContainerMapOptions options;
-  options.verify_checksums = false;
-  MappedGraph mapped;
-  ASSERT_TRUE(MappedGraph::Map(path, &mapped, &error, options)) << error;
-  ExpectMappedMatchesGraph(mapped, graph, "no_verify");
+  Graph from_handle;
+  Graph from_reader;
+  {
+    const GraphHandle handle = GraphHandle::Map(path, &error);
+    ASSERT_NE(handle.csr(), nullptr) << error;
+    ASSERT_EQ(handle.representation(), GraphRepresentation::kCsr);
+    from_handle = *handle.csr();
+    MappedContainer container;
+    ASSERT_TRUE(MappedContainer::Map(path, &container, &error)) << error;
+    from_reader = container.graph();
+    ASSERT_TRUE(container.Serves(from_reader));
+  }
   std::remove(path.c_str());
+  ASSERT_TRUE(from_handle.mapped());
+  ASSERT_TRUE(from_reader.mapped());
+  EXPECT_EQ(testing::AsVector(from_handle.neighbor_array()),
+            testing::AsVector(graph.neighbor_array()));
+  EXPECT_EQ(testing::AsVector(from_reader.offsets()),
+            testing::AsVector(graph.offsets()));
+  for (const char* name : {"Union-Rem-CAS;FindNaive;SplitAtomicOne",
+                           "Liu-Tarjan;PRF", "Shiloach-Vishkin"}) {
+    const Variant* v = FindVariant(name);
+    ASSERT_NE(v, nullptr) << name;
+    const std::vector<NodeId> want =
+        CanonicalizeLabels(v->run(GraphHandle(graph), SamplingConfig::KOut()));
+    EXPECT_EQ(CanonicalizeLabels(
+                  v->run(GraphHandle(from_handle), SamplingConfig::KOut())),
+              want)
+        << name;
+    EXPECT_EQ(CanonicalizeLabels(
+                  v->run(GraphHandle(from_reader), SamplingConfig::None())),
+              want)
+        << name;
+  }
 }
 
 // The incremental checksum must agree with the one-shot parallel pass for

@@ -109,8 +109,10 @@ TEST(ExtractEdges, RoundTripsThroughBuilder) {
     for (const Edge& e : edges.edges) EXPECT_LT(e.u, e.v) << name;
     const Graph rebuilt = BuildGraph(edges);
     EXPECT_EQ(rebuilt.num_arcs(), g.num_arcs()) << name;
-    EXPECT_EQ(rebuilt.neighbor_array(), g.neighbor_array()) << name;
-    EXPECT_EQ(rebuilt.offsets(), g.offsets()) << name;
+    EXPECT_EQ(testing::AsVector(rebuilt.neighbor_array()),
+              testing::AsVector(g.neighbor_array())) << name;
+    EXPECT_EQ(testing::AsVector(rebuilt.offsets()),
+              testing::AsVector(g.offsets())) << name;
   }
 }
 

@@ -13,6 +13,7 @@
 #include "src/graph/sharded.h"
 #include "src/parallel/numa.h"
 #include "src/parallel/thread_pool.h"
+#include "tests/test_graphs.h"
 
 namespace connectit {
 namespace {
@@ -166,7 +167,8 @@ TEST_F(NumaTopologyTest, ShardedPartitionRecordsPlacement) {
     arcs.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(arcs.load(), graph.num_arcs());
-  EXPECT_EQ(sharded.Flatten().neighbor_array(), graph.neighbor_array());
+  EXPECT_EQ(testing::AsVector(sharded.Flatten().neighbor_array()),
+            testing::AsVector(graph.neighbor_array()));
 }
 
 TEST_F(NumaTopologyTest, SingleNodePartitionHasNoPlacement) {

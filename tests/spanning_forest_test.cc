@@ -8,6 +8,8 @@
 
 #include "src/algo/verify.h"
 #include "src/core/registry.h"
+#include "src/graph/builder.h"
+#include "src/graph/graph_handle.h"
 #include "tests/test_graphs.h"
 
 namespace connectit {
@@ -81,6 +83,41 @@ TEST(SpanningForest, ForestSizeMatchesComponentCount) {
   const auto result = v->run_forest(g, {});
   EXPECT_EQ(result.edges.size(),
             static_cast<size_t>(g.num_nodes()) - stats.num_components);
+}
+
+// Regression for a race in Rem's SpliceAtomic: it re-parents a non-root
+// vertex into the other tree, a link the forest's slot recording never
+// sees, so a concurrent Unite could find one root and record no edge. The
+// forest passes therefore splice with SplitAtomicOne (kForestSplice in
+// connectit.h). The race needs real concurrency, so every SpliceAtomic
+// variant builds many forests from COO input (where it showed) and CSR.
+// Run it with CONNECTIT_THREADS=4 in a loop to look for a flake.
+TEST(SpliceAtomicForest, RepeatedForestsAreSpanning) {
+  constexpr int kRounds = 20;
+  size_t variants = 0;
+  for (const Variant& v : AllVariants()) {
+    if (v.family != AlgorithmFamily::kUnionFind ||
+        v.name.find(";SpliceAtomic") == std::string::npos) {
+      continue;
+    }
+    ++variants;
+    for (const auto& [name, graph] : testing::CorrectnessBasket()) {
+      const EdgeList edges = ExtractEdges(graph);
+      for (int round = 0; round < kRounds; ++round) {
+        const SpanningForestResult coo =
+            v.run_forest(GraphHandle(edges), SamplingConfig::None());
+        ASSERT_TRUE(CheckSpanningForest(graph, coo.edges))
+            << "COO forest: variant=" << v.name << " graph=" << name
+            << " round=" << round;
+        const SpanningForestResult csr =
+            v.run_forest(graph, SamplingConfig::None());
+        ASSERT_TRUE(CheckSpanningForest(graph, csr.edges))
+            << "CSR forest: variant=" << v.name << " graph=" << name
+            << " round=" << round;
+      }
+    }
+  }
+  EXPECT_EQ(variants, 6u) << "Rem-CAS and Rem-Lock x FindNaive/Split/Halve";
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 // by streamed insertion batches, must land on the same partition as a
 // static run over G0 plus the batches — for every supports_streaming
 // variant, on every graph representation. COO seeds of edge-centric
-// variants must stay COO-native: zero CSR materializations. Sharded and
-// mapped (mmap-container) seeds are native for *every* variant: zero
-// flat-CSR flattens / zero mapped-CSR copies.
+// variants must stay COO-native: zero CSR materializations. Sharded seeds
+// are native for *every* variant: zero flat-CSR flattens. Mapped seeds (a
+// CSR served from an mmap'd .cgc container) are pinned by address: the
+// graph the static pass reads lies inside the mapped file.
 
 #include <cctype>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "src/core/registry.h"
 #include "src/core/streaming.h"
 #include "src/graph/builder.h"
+#include "src/graph/container.h"
 #include "src/graph/generators.h"
 
 namespace connectit {
@@ -48,18 +51,31 @@ EdgeList BasePrefix(const EdgeList& all) {
   return base;
 }
 
+// The seed's storage: the four representations, plus the CSR served from a
+// mapped container.
+enum class Seed { kCsr, kCompressed, kCoo, kSharded, kContainer };
+
+const char* ToString(Seed seed) {
+  switch (seed) {
+    case Seed::kCsr: return "csr";
+    case Seed::kCompressed: return "compressed";
+    case Seed::kCoo: return "coo";
+    case Seed::kSharded: return "sharded";
+    case Seed::kContainer: return "mapped";
+  }
+  return "?";
+}
+
 struct HandoffCase {
   std::string variant;
-  GraphRepresentation repr;
+  Seed repr;
 };
 
 std::vector<HandoffCase> AllHandoffCases() {
   std::vector<HandoffCase> cases;
   for (const Variant* v : StreamingVariants()) {
-    for (const GraphRepresentation repr :
-         {GraphRepresentation::kCsr, GraphRepresentation::kCompressed,
-          GraphRepresentation::kCoo, GraphRepresentation::kSharded,
-          GraphRepresentation::kMapped}) {
+    for (const Seed repr : {Seed::kCsr, Seed::kCompressed, Seed::kCoo,
+                            Seed::kSharded, Seed::kContainer}) {
       cases.push_back({v->name, repr});
     }
   }
@@ -85,52 +101,56 @@ TEST_P(SeededHandoff, StaticPassPlusBatchesEqualsFullStatic) {
   // The seed handle wraps the base graph in this case's representation; the
   // CSR storage must outlive the handle views.
   Graph base_csr;
+  MappedContainer container;
   GraphHandle handle;
   switch (GetParam().repr) {
-    case GraphRepresentation::kCsr:
+    case Seed::kCsr:
       base_csr = BuildGraph(base);
       handle = GraphHandle(base_csr);
       break;
-    case GraphRepresentation::kCompressed:
+    case Seed::kCompressed:
       base_csr = BuildGraph(base);
       handle = GraphHandle::Compress(base_csr);
       break;
-    case GraphRepresentation::kCoo:
+    case Seed::kCoo:
       handle = GraphHandle(base);
       break;
-    case GraphRepresentation::kSharded:
+    case Seed::kSharded:
       // A fixed P > 1 exercises shard boundaries even on 1-core runners.
       handle = GraphHandle::Shard(BuildGraph(base), /*num_shards=*/4);
       break;
-    case GraphRepresentation::kMapped:
-      // Round-trip the base through an unlinked temp .cgc: the seed's
-      // static pass runs straight off the mapping.
-      handle = GraphHandle::MapTempOrDie(BuildGraph(base));
+    case Seed::kContainer: {
+      // Round-trip the base through an unlinked .cgc: the seed's static
+      // pass runs straight off the mapping.
+      const std::string path = ::testing::TempDir() + "/handoff_seed.cgc";
+      std::string error;
+      ASSERT_TRUE(WriteContainer(path, BuildGraph(base), &error)) << error;
+      ASSERT_TRUE(MappedContainer::Map(path, &container, &error)) << error;
+      std::remove(path.c_str());
+      handle = GraphHandle(container.graph());
+      // Every family seeds off the mapping: zero-copy end to end.
+      ASSERT_TRUE(container.Serves(*handle.csr()))
+          << "mapped seed is not served from the mapping";
       break;
+    }
   }
 
   const uint64_t builds_before = CooCsrMaterializations();
   const uint64_t flattens_before = ShardedCsrMaterializations();
-  const uint64_t copies_before = MappedCsrMaterializations();
   auto alg =
       variant->make_streaming(StreamingSeed::FromStatic(handle));
   ASSERT_NE(alg, nullptr);
-  if (GetParam().repr == GraphRepresentation::kCoo &&
+  if (GetParam().repr == Seed::kCoo &&
       variant->family != AlgorithmFamily::kShiloachVishkin) {
     // Edge-centric families (union-find, Liu-Tarjan) seed COO-natively.
     EXPECT_EQ(CooCsrMaterializations(), builds_before)
         << "COO seed materialized a CSR";
   }
-  if (GetParam().repr == GraphRepresentation::kSharded) {
+  if (GetParam().repr == Seed::kSharded) {
     // Every family seeds sharded-natively: the static pass traverses the
     // shards, never a flattened CSR.
     EXPECT_EQ(ShardedCsrMaterializations(), flattens_before)
         << "sharded seed flattened to a CSR";
-  }
-  if (GetParam().repr == GraphRepresentation::kMapped) {
-    // Every family seeds off the mapping: zero-copy end to end.
-    EXPECT_EQ(MappedCsrMaterializations(), copies_before)
-        << "mapped seed copied to a CSR";
   }
 
   // The seed alone must already match static connectivity on the base.

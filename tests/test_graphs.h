@@ -6,6 +6,7 @@
 #ifndef CONNECTIT_TESTS_TEST_GRAPHS_H_
 #define CONNECTIT_TESTS_TEST_GRAPHS_H_
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,6 +51,14 @@ inline std::vector<NamedGraph> SmallBasket() {
   basket.push_back({"rmat_512", GenerateRmat(512, 2048, /*seed=*/3)});
   basket.push_back({"mixture", GenerateComponentMixture(600, 5, /*seed=*/21)});
   return basket;
+}
+
+// A CSR array (Graph::offsets() / neighbor_array()) as a vector, so
+// EXPECT_EQ compares it element by element and prints both sides on a
+// mismatch.
+template <typename T>
+std::vector<T> AsVector(std::span<const T> array) {
+  return {array.begin(), array.end()};
 }
 
 }  // namespace connectit::testing
