@@ -69,62 +69,67 @@ inline void ReRootSlots(const std::vector<NodeId>& tree_parents, NodeId m,
   slots[m] = kEmptySlot;
 }
 
+// The j-th k-out pick of u (0 <= j < k), or kInvalidNode when u has none.
+// kAfforest takes the first k neighbors. kHybrid takes the first neighbor
+// and kMaxDegree the highest-degree one as pick 0; every other pick is the
+// uniformly random neighbor drawn at Rng index u * k + j.
+template <typename GraphT>
+NodeId KOutPick(const GraphT& graph, const KOutOptions& options,
+                const Rng& rng, uint32_t k, NodeId u, uint32_t j) {
+  const EdgeId deg = graph.degree(u);
+  if (deg == 0) return kInvalidNode;
+  switch (options.variant) {
+    case KOutVariant::kAfforest:
+      return j < deg ? graph.NeighborAt(u, j) : kInvalidNode;
+    case KOutVariant::kHybrid:
+      if (j == 0) return graph.NeighborAt(u, 0);
+      break;
+    case KOutVariant::kMaxDegree:
+      if (j == 0) {
+        NodeId best = kInvalidNode;
+        EdgeId best_deg = 0;
+        graph.MapNeighbors(u, [&](NodeId v) {
+          const EdgeId d = graph.degree(v);
+          if (best == kInvalidNode || d > best_deg) {
+            best_deg = d;
+            best = v;
+          }
+        });
+        return best;
+      }
+      break;
+    case KOutVariant::kPure:
+      break;
+  }
+  return graph.NeighborAt(
+      u, rng.GetBounded(static_cast<uint64_t>(u) * k + j, deg));
+}
+
+// Round-major, as in Afforest: round j is one parallel pass that unites
+// every vertex's j-th pick before round j + 1 starts. The sampled edge set
+// does not depend on the order of the unions, and with min-based linking
+// every tree's root is its minimum member, so the cluster-min labeling is
+// the same for any order. The order matters for speed: uniting all k picks
+// of one vertex back to back made its later finds walk the uncompressed
+// chains its earlier picks had just built.
 template <bool kForest, typename GraphT>
 void KOutSampleImpl(const GraphT& graph, const KOutOptions& options,
                     std::vector<NodeId>& labels, std::vector<Edge>* slots) {
   const NodeId n = graph.num_nodes();
   if (n == 0) return;
   SampleDsu dsu(labels.data(), n);
-  Rng rng(options.seed);
+  const Rng rng(options.seed);
   const uint32_t k = std::max<uint32_t>(1, options.k);
-  ParallelFor(
-      0, n,
-      [&](size_t ui) {
-        const NodeId u = static_cast<NodeId>(ui);
-        const EdgeId deg = graph.degree(u);
-        if (deg == 0) return;
-        uint32_t selected = 0;
-        switch (options.variant) {
-          case KOutVariant::kAfforest: {
-            // First k edges of u.
-            const EdgeId limit = std::min<EdgeId>(k, deg);
-            for (EdgeId j = 0; j < limit; ++j) {
-              ApplySampledEdge<kForest>(dsu, u, graph.NeighborAt(u, j),
-                                        slots);
-            }
-            return;
-          }
-          case KOutVariant::kHybrid: {
-            ApplySampledEdge<kForest>(dsu, u, graph.NeighborAt(u, 0), slots);
-            selected = 1;
-            break;
-          }
-          case KOutVariant::kMaxDegree: {
-            // Highest-degree neighbor first.
-            NodeId best = kInvalidNode;
-            EdgeId best_deg = 0;
-            graph.MapNeighbors(u, [&](NodeId v) {
-              const EdgeId d = graph.degree(v);
-              if (best == kInvalidNode || d > best_deg) {
-                best_deg = d;
-                best = v;
-              }
-            });
-            ApplySampledEdge<kForest>(dsu, u, best, slots);
-            selected = 1;
-            break;
-          }
-          case KOutVariant::kPure:
-            break;
-        }
-        // Remaining picks are uniformly random neighbors of u.
-        for (uint32_t j = selected; j < k; ++j) {
-          const EdgeId idx =
-              rng.GetBounded(static_cast<uint64_t>(u) * k + j, deg);
-          ApplySampledEdge<kForest>(dsu, u, graph.NeighborAt(u, idx), slots);
-        }
-      },
-      /*grain=*/64);
+  for (uint32_t j = 0; j < k; ++j) {
+    ParallelFor(
+        0, n,
+        [&](size_t ui) {
+          const NodeId u = static_cast<NodeId>(ui);
+          const NodeId v = KOutPick(graph, options, rng, k, u, j);
+          if (v != kInvalidNode) ApplySampledEdge<kForest>(dsu, u, v, slots);
+        },
+        /*grain=*/64);
+  }
   // Full path compression: with ID-ordered linking the root of each tree is
   // its minimum member, so compression also normalizes to cluster-min.
   FullyCompressParents(labels.data(), n);

@@ -1,7 +1,5 @@
 #include "src/graph/graph_handle.h"
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -93,31 +91,6 @@ GraphHandle GraphHandle::MapOrDie(const std::string& path) {
     std::fprintf(stderr, "GraphHandle::MapOrDie: %s\n", error.c_str());
     std::abort();
   }
-  return Adopt(container.graph());
-}
-
-GraphHandle GraphHandle::MapTempOrDie(const Graph& graph) {
-  // mkstemp gives a private file; once mapped it is unlinked, so the bytes
-  // live only as long as the mapping (the handle family) does.
-  const char* tmpdir = std::getenv("TMPDIR");
-  std::string path = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
-                     "/connectit_cgc_XXXXXX";
-  const int fd = mkstemp(path.data());
-  if (fd < 0) {
-    std::fprintf(stderr, "GraphHandle::MapTempOrDie: mkstemp(%s) failed\n",
-                 path.c_str());
-    std::abort();
-  }
-  ::close(fd);
-  std::string error;
-  MappedContainer container;
-  if (!WriteContainer(path, graph, &error) ||
-      !MappedContainer::Map(path, &container, &error)) {
-    ::unlink(path.c_str());
-    std::fprintf(stderr, "GraphHandle::MapTempOrDie: %s\n", error.c_str());
-    std::abort();
-  }
-  ::unlink(path.c_str());
   return Adopt(container.graph());
 }
 

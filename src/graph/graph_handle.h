@@ -105,12 +105,6 @@ class GraphHandle {
   static GraphHandle Map(const std::string& path, std::string* error = nullptr);
   static GraphHandle MapOrDie(const std::string& path);
 
-  // Writes `graph` to a temporary container and maps it back as an owning
-  // CSR handle (the temp file is unlinked once mapped, so it lives exactly
-  // as long as the mapping). It dies on environmental failure (unwritable
-  // temp dir), not on data errors.
-  static GraphHandle MapTempOrDie(const Graph& graph);
-
   // COO input as a first-class representation: the handle owns a copy of
   // the edge list and stays COO. CSR is built lazily — and counted — only
   // if an adjacency-dependent consumer asks (MaterializedCsr).

@@ -36,6 +36,22 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+// Writes `graph` to a container and maps it back as a CSR handle. The file
+// is unlinked once mapped, so its bytes live exactly as long as the mapping.
+// On failure it records a test failure and returns the empty handle.
+GraphHandle MapThroughTempContainer(const Graph& graph,
+                                    const std::string& name) {
+  const std::string path = TempPath(name);
+  std::string error;
+  GraphHandle handle;
+  if (WriteContainer(path, graph, &error)) {
+    handle = GraphHandle::Map(path, &error);
+  }
+  EXPECT_TRUE(error.empty()) << error;
+  std::remove(path.c_str());
+  return handle;
+}
+
 // tests/testdata/, resolved relative to this source file so the fixture is
 // found regardless of the ctest working directory.
 std::string TestDataPath(const std::string& name) {
@@ -256,8 +272,9 @@ TEST(ContainerLabels, MappedLabelsMatchCsrAcrossSources) {
         CanonicalizeLabels(v->run(GraphHandle(graph), SamplingConfig::None()));
     // The COO source must land on the same labels once mapped through the
     // temp-container path (the same bytes as the flat writer).
-    const GraphHandle coo_mapped =
-        GraphHandle::MapTempOrDie(BuildGraph(edges));
+    const GraphHandle coo_mapped = MapThroughTempContainer(
+        BuildGraph(edges), "labels_coo_" + name + ".cgc");
+    ASSERT_NE(coo_mapped.csr(), nullptr) << name;
     ASSERT_TRUE(coo_mapped.csr()->mapped()) << name;
     for (const std::string& path : {flat_path, sharded_path}) {
       MappedContainer container;

@@ -1,12 +1,17 @@
 // Tests for the sampling phase: Definition 3.1 properties, value
 // monotonicity, per-scheme behavior, quality metrics, and IdentifyFrequent.
 
+#include <algorithm>
+#include <numeric>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "src/algo/verify.h"
 #include "src/core/connectit.h"
 #include "src/core/frequent.h"
 #include "src/core/sampling.h"
+#include "src/parallel/random.h"
 #include "tests/test_graphs.h"
 
 namespace connectit {
@@ -59,11 +64,13 @@ INSTANTIATE_TEST_SUITE_P(Schemes, SamplingSchemes,
                            return std::string(ToString(info.param));
                          });
 
+constexpr KOutVariant kKOutVariants[] = {
+    KOutVariant::kAfforest, KOutVariant::kPure, KOutVariant::kHybrid,
+    KOutVariant::kMaxDegree};
+
 TEST(KOutSampling, AllVariantsProduceValidPartialLabelings) {
   const Graph g = GenerateRmat(2048, 8192, 3);
-  for (const KOutVariant variant :
-       {KOutVariant::kAfforest, KOutVariant::kPure, KOutVariant::kHybrid,
-        KOutVariant::kMaxDegree}) {
+  for (const KOutVariant variant : kKOutVariants) {
     for (uint32_t k : {1u, 2u, 4u}) {
       KOutOptions options;
       options.variant = variant;
@@ -74,6 +81,98 @@ TEST(KOutSampling, AllVariantsProduceValidPartialLabelings) {
                                   "/k=" + std::to_string(k);
       CheckSampleInvariants(context, g, labels);
       CheckPartialLabeling(context, g, labels);
+    }
+  }
+}
+
+// The k-out sample {u, pick} of every vertex, enumerated sequentially with
+// the sampler's pick rules and Rng indices (u * k + j) but not its code.
+std::vector<Edge> SampledKOutEdges(const Graph& graph,
+                                   const KOutOptions& options) {
+  const uint32_t k = std::max<uint32_t>(1, options.k);
+  const Rng rng(options.seed);
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    const auto nbrs = graph.neighbors(u);
+    const EdgeId deg = nbrs.size();
+    for (uint32_t j = 0; j < k && deg > 0; ++j) {
+      NodeId v;
+      if (options.variant == KOutVariant::kAfforest) {
+        if (j >= deg) break;
+        v = nbrs[j];
+      } else if (j == 0 && options.variant == KOutVariant::kHybrid) {
+        v = nbrs[0];
+      } else if (j == 0 && options.variant == KOutVariant::kMaxDegree) {
+        // The first neighbor of the highest degree.
+        v = nbrs[0];
+        for (const NodeId w : nbrs) {
+          if (graph.degree(w) > graph.degree(v)) v = w;
+        }
+      } else {
+        v = nbrs[rng.GetBounded(static_cast<uint64_t>(u) * k + j, deg)];
+      }
+      edges.push_back({u, v});
+    }
+  }
+  return edges;
+}
+
+// Sequential union-find over `edges`, each vertex labeled by the minimum
+// member of its cluster.
+std::vector<NodeId> ClusterMinLabels(NodeId n, const std::vector<Edge>& edges) {
+  std::vector<NodeId> parent(n);
+  std::iota(parent.begin(), parent.end(), NodeId{0});
+  const auto find = [&](NodeId v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  for (const Edge& e : edges) {
+    const NodeId a = find(e.u);
+    const NodeId b = find(e.v);
+    parent[std::max(a, b)] = std::min(a, b);
+  }
+  for (NodeId v = 0; v < n; ++v) parent[v] = find(v);
+  return parent;
+}
+
+// The sampler unites round by round in parallel; the labels must not
+// depend on that order. The forest form labels exactly as the components
+// form, and its slots are a spanning forest of the sampled clusters drawn
+// from the sampled edges.
+TEST(KOutSampling, RoundMajorLabelsMatchSequentialUnionFind) {
+  for (const auto& [name, graph] : testing::CorrectnessBasket()) {
+    const NodeId n = graph.num_nodes();
+    for (const KOutVariant variant : kKOutVariants) {
+      for (const uint32_t k : {1u, 2u, 4u}) {
+        KOutOptions options;
+        options.variant = variant;
+        options.k = k;
+        const std::string context = name + "/" +
+                                    std::string(ToString(variant)) +
+                                    "/k=" + std::to_string(k);
+        const std::vector<Edge> sampled = SampledKOutEdges(graph, options);
+        std::vector<NodeId> labels = IdentityLabels(n);
+        KOutSample(graph, options, labels);
+        EXPECT_EQ(labels, ClusterMinLabels(n, sampled)) << context;
+
+        std::vector<NodeId> forest_labels = IdentityLabels(n);
+        std::vector<Edge> slots(n, kEmptySlot);
+        KOutSampleForest(graph, options, forest_labels, slots);
+        EXPECT_EQ(forest_labels, labels) << context;
+        const std::set<Edge> sampled_set(sampled.begin(), sampled.end());
+        std::vector<Edge> forest;
+        for (const Edge& slot : slots) {
+          if (slot == kEmptySlot) continue;
+          EXPECT_TRUE(sampled_set.contains(slot))
+              << context << ": slot {" << slot.u << ", " << slot.v
+              << "} was not sampled";
+          forest.push_back(slot);
+        }
+        NodeId clusters = 0;
+        for (NodeId v = 0; v < n; ++v) clusters += labels[v] == v;
+        EXPECT_EQ(forest.size(), n - clusters) << context;
+        EXPECT_EQ(ClusterMinLabels(n, forest), labels) << context;
+      }
     }
   }
 }
