@@ -5,6 +5,8 @@
 #ifndef CONNECTIT_CORE_COMPONENTS_H_
 #define CONNECTIT_CORE_COMPONENTS_H_
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "src/core/frequent.h"
@@ -25,32 +27,52 @@ inline NodeId CountComponents(const std::vector<NodeId>& labels) {
       [&](size_t v) { return labels[v] == static_cast<NodeId>(v); }));
 }
 
+// Labels holding at least this share of the vertices are counted in
+// block-local registers by ComponentSizes, at most kMaxHeavyLabels of
+// them. A per-vertex FetchAdd on a label this common makes every worker
+// contend for one cache line; rarer labels spread over many lines.
+inline constexpr double kHeavyLabelShare = 1.0 / 32;
+inline constexpr size_t kMaxHeavyLabels = 4;
+
 // Size of each component, indexed by its label (0 for non-labels), and,
 // through `num_components`, the CountComponents value, from one blocked
-// pass. Most vertices of a real graph share the giant component's label,
-// so a per-vertex FetchAdd on its size would make every worker contend for
-// one cache line. The most frequent label is estimated once by sampling;
-// each block counts it locally and adds the total with one FetchAdd, while
-// other labels keep a per-vertex FetchAdd (spread over many lines). The
-// estimate only decides where additions happen, so sizes are always exact.
+// pass. The heavy labels are estimated once by sampling; each block counts
+// them locally and adds each total with one FetchAdd, while other labels
+// keep a per-vertex FetchAdd. The estimate only decides where additions
+// happen, so sizes are always exact.
 inline std::vector<NodeId> ComponentSizes(const std::vector<NodeId>& labels,
                                           NodeId* num_components = nullptr) {
   std::vector<NodeId> sizes(labels.size(), 0);
-  const NodeId frequent = IdentifyFrequentSampled(labels).label;
+  static_assert(kMaxHeavyLabels == 4, "the block loop is unrolled for 4");
+  std::array<NodeId, kMaxHeavyLabels> heavy;
+  heavy.fill(kInvalidNode);  // never a label
+  const std::vector<NodeId> found =
+      FrequentLabelsSampled(labels, kHeavyLabelShare, kMaxHeavyLabels);
+  std::copy(found.begin(), found.end(), heavy.begin());
   NodeId roots = 0;
   ParallelForBlocked(0, labels.size(), [&](size_t lo, size_t hi) {
-    NodeId frequent_count = 0;
+    // Block-local copies stay in registers across the FetchAdds.
+    const std::array<NodeId, kMaxHeavyLabels> h = heavy;
+    std::array<NodeId, kMaxHeavyLabels> heavy_count{};
     NodeId block_roots = 0;
     for (size_t v = lo; v < hi; ++v) {
       const NodeId label = labels[v];
       if (label == static_cast<NodeId>(v)) ++block_roots;
-      if (label == frequent) {
-        ++frequent_count;
+      if (label == h[0]) {
+        ++heavy_count[0];
+      } else if (label == h[1]) {
+        ++heavy_count[1];
+      } else if (label == h[2]) {
+        ++heavy_count[2];
+      } else if (label == h[3]) {
+        ++heavy_count[3];
       } else {
         FetchAdd<NodeId>(&sizes[label], 1);
       }
     }
-    if (frequent_count != 0) FetchAdd(&sizes[frequent], frequent_count);
+    for (size_t j = 0; j < kMaxHeavyLabels; ++j) {
+      if (heavy_count[j] != 0) FetchAdd(&sizes[heavy[j]], heavy_count[j]);
+    }
     if (block_roots != 0) FetchAdd(&roots, block_roots);
   });
   if (num_components != nullptr) *num_components = roots;

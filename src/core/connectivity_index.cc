@@ -34,14 +34,38 @@ uint64_t SteadyNowUs() {
           .count());
 }
 
-// Precomputes everything the read surface serves (count, sizes) in one
-// pass over the labels, so every query against the published block is
-// plain array indexing.
+// A full publication: a fresh base (labels, sizes, count from one pass
+// over the labels) under an empty overlay.
 internal::SnapshotData* MakeSnapshotData(std::vector<NodeId> labels) {
+  auto base = std::make_shared<internal::SnapshotBase>();
+  base->sizes = ComponentSizes(labels, &base->num_components);
+  base->labels = std::move(labels);
   auto* data = new internal::SnapshotData();
-  data->sizes = ComponentSizes(labels, &data->num_components);
-  data->labels = std::move(labels);
+  data->num_components = base->num_components;
+  data->base = std::move(base);
   return data;
+}
+
+// Inserts `entry`, or overwrites the entry with its key, doubling the
+// table first if it would pass half full.
+void OverlayPut(internal::Overlay* overlay,
+                const internal::OverlayEntry& entry) {
+  if (2 * (overlay->entries + 1) > overlay->slots.size()) {
+    internal::Overlay grown;
+    grown.slots.resize(std::max<size_t>(16, 2 * overlay->slots.size()));
+    for (const internal::OverlayEntry& e : overlay->slots) {
+      if (e.key != kInvalidNode) OverlayPut(&grown, e);
+    }
+    *overlay = std::move(grown);
+  }
+  const size_t mask = overlay->slots.size() - 1;
+  size_t i = internal::Overlay::Home(entry.key, mask);
+  while (overlay->slots[i].key != kInvalidNode &&
+         overlay->slots[i].key != entry.key) {
+    i = (i + 1) & mask;
+  }
+  if (overlay->slots[i].key == kInvalidNode) ++overlay->entries;
+  overlay->slots[i] = entry;
 }
 
 // Builds an owning handle of `target` representation from a flat CSR
@@ -98,6 +122,29 @@ const char* ToString(ServingMode mode) {
     case ServingMode::kSharedLock: return "shared-lock";
   }
   return "?";
+}
+
+// ---- SnapshotData ----
+
+const std::vector<NodeId>& internal::SnapshotData::Labels() const {
+  if (overlay.entries == 0) return base->labels;
+  std::call_once(labels_once_, [this] {
+    labels_.resize(base->labels.size());
+    ParallelFor(0, labels_.size(),
+                [&](size_t v) { labels_[v] = Resolve(base->labels[v]); });
+  });
+  return labels_;
+}
+
+const std::vector<NodeId>& internal::SnapshotData::Sizes() const {
+  if (overlay.entries == 0) return base->sizes;
+  std::call_once(sizes_once_, [this] {
+    sizes_ = base->sizes;
+    for (const OverlayEntry& e : overlay.slots) {
+      if (e.key != kInvalidNode) sizes_[e.key] = e.root == e.key ? e.size : 0;
+    }
+  });
+  return sizes_;
 }
 
 // ---- Snapshot ----
@@ -226,6 +273,7 @@ Connectivity::Connectivity(Connectivity&& other) noexcept {
   streaming_ = std::move(other.streaming_);
   forest_ = std::move(other.forest_);
   insert_journal_ = std::move(other.insert_journal_);
+  touched_ = std::move(other.touched_);
   snapshot_.store(other.snapshot_.exchange(nullptr),
                   std::memory_order_release);
   publish_seq_ = other.publish_seq_;
@@ -239,6 +287,7 @@ Connectivity::Connectivity(Connectivity&& other) noexcept {
   other.labels_stale_ = false;
   other.labels_.clear();
   other.insert_journal_.clear();
+  other.touched_.clear();
   other.graph_ = GraphHandle();
   // The moved-from index reverts to un-built but must keep serving (its
   // spec stays usable): republish an empty labeling.
@@ -258,6 +307,7 @@ Connectivity& Connectivity::operator=(Connectivity&& other) noexcept {
     streaming_ = std::move(other.streaming_);
     forest_ = std::move(other.forest_);
     insert_journal_ = std::move(other.insert_journal_);
+    touched_ = std::move(other.touched_);
     snapshot_.store(other.snapshot_.exchange(nullptr),
                     std::memory_order_release);
     publish_seq_ = other.publish_seq_;
@@ -271,6 +321,7 @@ Connectivity& Connectivity::operator=(Connectivity&& other) noexcept {
     other.labels_stale_ = false;
     other.labels_.clear();
     other.insert_journal_.clear();
+    other.touched_.clear();
     other.graph_ = GraphHandle();
     if (other.snapshot_serving()) other.PublishLocked({});
   }
@@ -278,7 +329,11 @@ Connectivity& Connectivity::operator=(Connectivity&& other) noexcept {
 }
 
 void Connectivity::PublishLocked(std::vector<NodeId> labels) {
-  internal::SnapshotData* data = MakeSnapshotData(std::move(labels));
+  touched_.clear();
+  SwapInLocked(MakeSnapshotData(std::move(labels)));
+}
+
+void Connectivity::SwapInLocked(internal::SnapshotData* data) {
   data->version = ++publish_seq_;
   data->published = true;
   internal::SnapshotData* old = snapshot_.exchange(data);  // seq_cst: pairs
@@ -287,6 +342,68 @@ void Connectivity::PublishLocked(std::vector<NodeId> labels) {
   epoch::Domain& domain = epoch::Domain::Global();
   if (old != nullptr) domain.Retire(old, DeleteSnapshotData, &old->refs);
   domain.AdvanceAndReclaim();
+}
+
+void Connectivity::PublishBatchesLocked() {
+  const internal::SnapshotData* prev =
+      snapshot_.load(std::memory_order_relaxed);
+  if (prev->overlay.entries > prev->num_nodes() / kOverlayShare) {
+    PublishLocked(streaming_->Labels());
+    stats::RecordCompaction();
+    return;
+  }
+  // The roots the batches absorbed, each with the root it sits under now.
+  // Every absorbed root is the pre-batch root of some endpoint (touched_):
+  // a union only merges the trees of its endpoints, so a component no
+  // endpoint touched keeps its tree, and with it its root.
+  std::vector<NodeId> roots(touched_.size());
+  ParallelFor(0, touched_.size(),
+              [&](size_t i) { roots[i] = streaming_->Root(touched_[i]); });
+  internal::Overlay moved;
+  for (size_t i = 0; i < touched_.size(); ++i) {
+    if (roots[i] != touched_[i]) OverlayPut(&moved, {touched_[i], roots[i], 0});
+  }
+  touched_.clear();
+  auto* data = new internal::SnapshotData();
+  data->base = prev->base;
+  data->overlay = prev->overlay;
+  data->num_components =
+      prev->num_components - static_cast<NodeId>(moved.entries);
+  if (moved.entries != 0) {
+    // Roots absorbed earlier follow theirs into its new component (Root
+    // also re-points them at it in the forest, keeping every path from a
+    // vertex to its root at most two hops long).
+    std::vector<internal::OverlayEntry>& slots = data->overlay.slots;
+    ParallelFor(0, slots.size(), [&](size_t i) {
+      internal::OverlayEntry& e = slots[i];
+      if (e.key != kInvalidNode && e.root != e.key &&
+          moved.Find(e.root) != nullptr) {
+        e.root = streaming_->Root(e.key);
+      }
+    });
+    // A surviving root's size: its own plus that of every root it
+    // absorbed, all as of the previous publication.
+    ParallelFor(0, moved.slots.size(), [&](size_t i) {
+      internal::OverlayEntry& m = moved.slots[i];
+      if (m.key != kInvalidNode) m.size = prev->ComponentSize(m.key);
+    });
+    internal::Overlay grown;
+    for (const internal::OverlayEntry& m : moved.slots) {
+      if (m.key == kInvalidNode) continue;
+      const internal::OverlayEntry* g = grown.Find(m.root);
+      const NodeId size =
+          g != nullptr ? g->size : prev->ComponentSize(m.root);
+      OverlayPut(&grown, {m.root, m.root, size + m.size});
+    }
+    for (const internal::OverlayEntry& m : moved.slots) {
+      if (m.key != kInvalidNode) OverlayPut(&data->overlay, {m.key, m.root, 0});
+    }
+    for (const internal::OverlayEntry& g : grown.slots) {
+      if (g.key != kInvalidNode) OverlayPut(&data->overlay, g);
+    }
+  }
+  stats::RecordOverlayPublication(data->overlay.entries);
+  SwapInLocked(data);
 }
 
 void Connectivity::RetireSnapshot() {
@@ -371,6 +488,17 @@ std::vector<uint8_t> Connectivity::Insert(const std::vector<Edge>& updates,
   if (streaming_ == nullptr) {
     DieF("Connectivity::Insert requires Stream() first");
   }
+  if (snapshot_serving()) {
+    // Note the pre-batch root of every endpoint: the only roots the batch
+    // can absorb (see PublishBatchesLocked). The walks also point the
+    // endpoints straight at their roots, ahead of the batch's own finds.
+    const size_t offset = touched_.size();
+    touched_.resize(offset + 2 * updates.size());
+    ParallelFor(0, updates.size(), [&](size_t i) {
+      touched_[offset + 2 * i] = streaming_->Root(updates[i].u);
+      touched_[offset + 2 * i + 1] = streaming_->Root(updates[i].v);
+    });
+  }
   const uint64_t process_start_us = SteadyNowUs();
   std::vector<uint8_t> results = streaming_->ProcessBatch(updates, queries);
   const uint64_t process_us = SteadyNowUs() - process_start_us;
@@ -384,9 +512,9 @@ std::vector<uint8_t> Connectivity::Insert(const std::vector<Edge>& updates,
                            updates.end());
   }
   if (snapshot_serving()) {
-    // Publish the post-batch labeling (Θ(n) on the mutator so every read
-    // stays O(1) and wait-free; readers switch labelings at the pointer
-    // swap — never mid-batch), or hold it back under a cadence k > 1.
+    // Publish the post-batch labeling (readers switch labelings at the
+    // pointer swap — never mid-batch), or hold it back under a cadence
+    // k > 1.
     MaybePublishBatchLocked(process_us);
   }
   // Mutator-side staging refreshes lazily (shared-lock reads, re-Stream).
@@ -464,7 +592,7 @@ void Connectivity::MaybePublishBatchLocked(uint64_t batch_cost_us) {
     return;
   }
   const uint64_t publish_start_us = SteadyNowUs();
-  PublishLocked(streaming_->Labels());
+  PublishBatchesLocked();
   const uint64_t publish_us = SteadyNowUs() - publish_start_us;
   batches_since_publish_ = 0;
   publish_cost_ema_us_ =
@@ -472,8 +600,8 @@ void Connectivity::MaybePublishBatchLocked(uint64_t batch_cost_us) {
           ? static_cast<double>(publish_us)
           : (1 - kAlpha) * publish_cost_ema_us_ + kAlpha * publish_us;
   if (spec_.adaptive_cadence()) {
-    // Choose k so the amortized Θ(n) publication cost stays at most ~25%
-    // of the measured per-batch processing work.
+    // Choose k so the amortized publication cost stays at most ~25% of
+    // the measured per-batch processing work.
     const double budget_us = 0.25 * std::max(batch_cost_ema_us_, 1.0);
     const double k = std::ceil(publish_cost_ema_us_ / budget_us);
     cadence_k_ = static_cast<uint32_t>(std::clamp(
@@ -490,7 +618,7 @@ void Connectivity::Flush() {
       batches_since_publish_ == 0) {
     return;
   }
-  PublishLocked(streaming_->Labels());
+  PublishBatchesLocked();
   batches_since_publish_ = 0;
 }
 
@@ -507,7 +635,7 @@ SpanningForestResult Connectivity::SpanningForest() const {
 NodeId Connectivity::Component(NodeId v) const {
   if (snapshot_serving()) {
     epoch::Domain::Guard guard;
-    return snapshot_.load(std::memory_order_acquire)->labels.at(v);
+    return snapshot_.load(std::memory_order_acquire)->Component(v);
   }
   return ReadLabels(
       [v](const std::vector<NodeId>& labels) { return labels.at(v); });
@@ -518,7 +646,7 @@ bool Connectivity::SameComponent(NodeId u, NodeId v) const {
     epoch::Domain::Guard guard;
     const internal::SnapshotData* data =
         snapshot_.load(std::memory_order_acquire);
-    return data->labels.at(u) == data->labels.at(v);
+    return data->Component(u) == data->Component(v);
   }
   return ReadLabels([u, v](const std::vector<NodeId>& labels) {
     return labels.at(u) == labels.at(v);
@@ -537,7 +665,7 @@ NodeId Connectivity::NumComponents() const {
 std::vector<NodeId> Connectivity::ComponentSizes() const {
   if (snapshot_serving()) {
     epoch::Domain::Guard guard;
-    return snapshot_.load(std::memory_order_acquire)->sizes;
+    return snapshot_.load(std::memory_order_acquire)->Sizes();
   }
   return ReadLabels([](const std::vector<NodeId>& labels) {
     return connectit::ComponentSizes(labels);
@@ -547,7 +675,7 @@ std::vector<NodeId> Connectivity::ComponentSizes() const {
 std::vector<NodeId> Connectivity::Labels() const {
   if (snapshot_serving()) {
     epoch::Domain::Guard guard;
-    return snapshot_.load(std::memory_order_acquire)->labels;
+    return snapshot_.load(std::memory_order_acquire)->Labels();
   }
   return ReadLabels([](const std::vector<NodeId>& labels) { return labels; });
 }
@@ -575,8 +703,7 @@ Snapshot Connectivity::Acquire() const {
 NodeId Connectivity::num_nodes() const {
   if (snapshot_serving()) {
     epoch::Domain::Guard guard;
-    return static_cast<NodeId>(
-        snapshot_.load(std::memory_order_acquire)->labels.size());
+    return snapshot_.load(std::memory_order_acquire)->num_nodes();
   }
   return ReadLabels([](const std::vector<NodeId>& labels) {
     return static_cast<NodeId>(labels.size());

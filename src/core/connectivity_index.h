@@ -27,19 +27,30 @@
 // the pass); Insert applies §3.5 batches.
 //
 // Serving model (ServingMode::kSnapshot, the default): every mutation
-// (Build, Stream, Insert) finishes by *publishing* an immutable, fully
-// path-compressed Snapshot of the labeling through one atomic pointer
-// swap. Reads (Component, SameComponent, NumComponents, ComponentSizes,
-// Labels) dereference the published pointer inside an epoch guard
-// (src/parallel/epoch.h) and answer by plain array indexing — wait-free,
-// no lock, no parent-chasing, scaling to all cores while an ingest thread
-// applies batches. A reader can never observe a half-applied batch: the
-// pointer swaps only between complete labelings. Replaced snapshots are
-// retired into the epoch domain and freed once no reader can hold them
-// (and, for Acquire'd snapshots, once every handle is released). The
-// wait-free AtomicLoad find discipline of §3.5 thereby extends to the
-// serving layer. The cost sits on the mutator: each Insert pays Θ(n) to
-// materialize the compressed labeling it publishes.
+// (Build, Stream, Insert, Erase) finishes by *publishing* an immutable
+// Snapshot of the labeling through one atomic pointer swap. Reads
+// (Component, SameComponent, NumComponents, ComponentSizes, Labels)
+// dereference the published pointer inside an epoch guard
+// (src/parallel/epoch.h) and answer by array indexing plus at most one
+// hash probe — wait-free, no lock, no parent-chasing, scaling to all cores
+// while an ingest thread applies batches. A reader can never observe a
+// half-applied batch: the pointer swaps only between complete labelings.
+// Replaced snapshots are retired into the epoch domain and freed once no
+// reader can hold them (and, for Acquire'd snapshots, once every handle
+// is released). The wait-free AtomicLoad find discipline of §3.5 thereby
+// extends to the serving layer.
+//
+// A snapshot is a shared, immutable *base* (the fully compressed labels,
+// sizes by label and component count of the last full publication) plus
+// a small *overlay*: a hash map from each base label that is no longer a
+// root to its current root, and from each root whose component grew to
+// its size. Build, Stream and Erase publish a fresh base (Θ(n)). An
+// Insert publishes in O(|overlay| + batch): the roots a batch can absorb
+// are the pre-batch roots of its endpoints (a union only merges its
+// endpoints' trees, and a root only ever loses root status), so the
+// writer walks those to their current roots and extends the previous
+// overlay. Once the overlay passes n / kOverlayShare entries, the next
+// Insert compacts into a fresh base instead.
 //
 // ServingMode::kSharedLock keeps the previous design as an A/B baseline
 // (bench_serving measures both): readers share a lock against exclusive
@@ -62,6 +73,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string_view>
@@ -84,16 +96,81 @@ const char* ToString(ServingMode mode);
 
 namespace internal {
 
-// One published labeling: immutable after construction (refs aside), so
-// any number of readers index it without synchronization.
-struct SnapshotData {
+// The labeling of the last full publication (a compaction), shared by
+// every snapshot published until the next one.
+struct SnapshotBase {
   std::vector<NodeId> labels;  // fully path-compressed: labels[labels[v]]
                                // == labels[v] for every v
-  std::vector<NodeId> sizes;   // component size by representative label
+  std::vector<NodeId> sizes;   // component size by label
+  NodeId num_components = 0;
+};
+
+// A base label whose component changed since the base. root != key: key
+// was absorbed into root's component and labels nothing any more. root ==
+// key: key is still a label and its component grew to `size`.
+struct OverlayEntry {
+  NodeId key = kInvalidNode;  // kInvalidNode marks an empty slot
+  NodeId root = kInvalidNode;
+  NodeId size = 0;
+};
+
+// Open addressing with linear probing over a power-of-two table kept at
+// most half full. Immutable once published; the writer builds each
+// publication's overlay from a copy of the previous one.
+struct Overlay {
+  std::vector<OverlayEntry> slots;  // empty or a power of two
+  size_t entries = 0;
+
+  static size_t Home(NodeId key, size_t mask) {
+    return static_cast<size_t>((key * uint64_t{0x9E3779B97F4A7C15}) >> 32) &
+           mask;
+  }
+  const OverlayEntry* Find(NodeId key) const {
+    if (entries == 0) return nullptr;
+    const size_t mask = slots.size() - 1;
+    for (size_t i = Home(key, mask);; i = (i + 1) & mask) {
+      if (slots[i].key == key) return &slots[i];
+      if (slots[i].key == kInvalidNode) return nullptr;
+    }
+  }
+};
+
+// One published labeling: a shared base plus this publication's overlay.
+// Immutable after publication (refs and the lazy caches aside), so any
+// number of readers answer from it without synchronization: a point read
+// is base.labels[v] and at most one overlay probe.
+struct SnapshotData {
+  std::shared_ptr<const SnapshotBase> base;
+  Overlay overlay;
   NodeId num_components = 0;
   uint64_t version = 0;   // publication sequence number of this index
   bool published = false;  // true = lifetime managed by the epoch domain
   mutable std::atomic<uint64_t> refs{0};  // outstanding Snapshot handles
+
+  NodeId num_nodes() const { return static_cast<NodeId>(base->labels.size()); }
+  NodeId Component(NodeId v) const { return Resolve(base->labels.at(v)); }
+  // The current label of a base label.
+  NodeId Resolve(NodeId base_label) const {
+    const OverlayEntry* e = overlay.Find(base_label);
+    return e == nullptr ? base_label : e->root;
+  }
+  // Size of the component labeled `label`; 0 if it labels none. Every
+  // label is a base label (roots only lose root status), so only base
+  // labels need the probe.
+  NodeId ComponentSize(NodeId label) const {
+    if (label >= base->sizes.size() || base->sizes[label] == 0) return 0;
+    const OverlayEntry* e = overlay.Find(label);
+    if (e == nullptr) return base->sizes[label];
+    return e->root == label ? e->size : 0;
+  }
+  // The n-sized forms, built on first use and cached (the base's own
+  // arrays while the overlay is empty).
+  const std::vector<NodeId>& Labels() const;
+  const std::vector<NodeId>& Sizes() const;
+
+ private:
+  mutable std::once_flag labels_once_, sizes_once_;
+  mutable std::vector<NodeId> labels_, sizes_;
 };
 
 }  // namespace internal
@@ -116,18 +193,24 @@ class Snapshot {
   bool valid() const { return data_ != nullptr; }
 
   NodeId num_nodes() const {
-    return data_ == nullptr ? 0 : static_cast<NodeId>(data_->labels.size());
+    return data_ == nullptr ? 0 : data_->num_nodes();
   }
-  NodeId Component(NodeId v) const { return data_->labels.at(v); }
+  NodeId Component(NodeId v) const { return data_->Component(v); }
   bool SameComponent(NodeId u, NodeId v) const {
-    return data_->labels.at(u) == data_->labels.at(v);
+    return data_->Component(u) == data_->Component(v);
   }
   NodeId NumComponents() const {
     return data_ == nullptr ? 0 : data_->num_components;
   }
-  // Size of each component, indexed by representative (0 elsewhere).
-  const std::vector<NodeId>& ComponentSizes() const { return data_->sizes; }
-  const std::vector<NodeId>& Labels() const { return data_->labels; }
+  // Size of the component whose representative is `label` (0 if `label`
+  // represents none). O(1): one overlay probe.
+  NodeId ComponentSize(NodeId label) const {
+    return data_->ComponentSize(label);
+  }
+  // Size of each component, indexed by representative (0 elsewhere), and
+  // the full labeling. Θ(n) on the first call per snapshot, cached after.
+  const std::vector<NodeId>& ComponentSizes() const { return data_->Sizes(); }
+  const std::vector<NodeId>& Labels() const { return data_->Labels(); }
 
   // Publication sequence number: strictly increasing per Connectivity
   // publication, 0 for on-demand (kSharedLock-mode) snapshots.
@@ -191,33 +274,35 @@ class Connectivity {
     }
 
     // Read-path discipline; see the header comment. kSnapshot (default):
-    // wait-free epoch-published snapshots, mutators pay Θ(n) per batch.
-    // kSharedLock: the lock-based baseline with lazy refresh.
+    // wait-free epoch-published snapshots, an Insert publishes in
+    // O(|overlay| + batch). kSharedLock: the lock-based baseline with lazy
+    // refresh.
     Spec& Serving(ServingMode mode) {
       serving_ = mode;
       return *this;
     }
 
     // Snapshot-publication cadence under kSnapshot serving. k = 1 (the
-    // default) publishes the Θ(n) snapshot after every Insert batch — the
+    // default) publishes a snapshot after every Insert batch — the
     // behavior every parity test pins. k > 1 publishes after every k-th
     // batch: reads keep serving the labeling as of the last published
     // batch *boundary* (never a half-applied batch), skipped publications
     // tick stats::ReadServing().publication_skips, and Flush() or the
-    // next Erase forces the held-back state out. The write-heavy-ingest
-    // knob: a publication is Θ(n) (copying the labels and one sizes pass
-    // over them), which on sparse batches costs more than the batch's
-    // own union-find work, and most published snapshots are replaced
-    // before any reader pins them.
+    // next Erase forces the held-back state out; the held-back batches'
+    // endpoints all reach the next overlay. A publication costs
+    // O(|overlay| + batch), plus a Θ(n) compaction once the overlay passes
+    // n / kOverlayShare entries, so holding batches back saves only the
+    // overlay's copy and scan and the pointer swap.
     Spec& PublishEvery(uint32_t k) {
       publish_every_ = k == 0 ? 1 : k;
       return *this;
     }
 
     // Measure instead of guessing k: after every publication the index
-    // re-derives the cadence from EMAs of publication cost vs. batch
-    // processing cost, so publication overhead stays a bounded fraction
-    // of ingest work (k clamped to [1, kMaxAdaptiveCadence]). A quiet
+    // re-derives the cadence from EMAs of publication cost (overlay
+    // publications and compactions alike) vs. batch processing cost, so
+    // publication overhead stays a bounded fraction of ingest work (k
+    // clamped to [1, kMaxAdaptiveCadence]). A quiet
     // stream still publishes promptly: any batch arriving later than
     // kCadenceQuietGapUs after the previous one publishes immediately.
     // Overrides PublishEvery; stats::ReadServing().publication_cadence_k
@@ -247,6 +332,17 @@ class Connectivity {
     bool adaptive_cadence_ = false;
   };
 
+  // An Insert publication compacts (publishes a fresh base) instead of
+  // extending the overlay once the overlay holds more than n /
+  // kOverlayShare entries. An overlay publication costs a fixed part
+  // (walking the batch's endpoints) plus a copy and a scan of the table,
+  // about 10 ns per entry on 4 cores; a compaction costs 4-10 ns per
+  // vertex (compress, copy and count n labels). An entry thus costs about
+  // as much as one to two vertices, and at n / 32 entries an overlay
+  // publication costs at most a sixteenth of a compaction, while a
+  // compaction every n / 32 absorbed roots stays a small share of the
+  // work between two of them.
+  static constexpr NodeId kOverlayShare = 32;
   // Adaptive cadence never holds back more than this many batches.
   static constexpr uint32_t kMaxAdaptiveCadence = 64;
   // A batch arriving after a gap longer than this publishes immediately
@@ -373,10 +469,20 @@ class Connectivity {
   // exclusively.
   void ArmForestLocked();
 
-  // Builds a SnapshotData (sizes + component count precomputed) from a
-  // fully compressed labeling and swaps it in as the published snapshot;
-  // retires the previous one. Callers hold mu_ exclusively.
+  // Full publication (a compaction): builds a fresh base (sizes and
+  // component count precomputed) from a fully compressed labeling and
+  // publishes it under an empty overlay. Callers hold mu_ exclusively.
   void PublishLocked(std::vector<NodeId> labels);
+
+  // Publishes the batches applied since the last publication: the
+  // previous overlay plus the roots those batches absorbed, in
+  // O(|overlay| + batch); compacts instead once the overlay holds more
+  // than n / kOverlayShare entries. Callers hold mu_ exclusively.
+  void PublishBatchesLocked();
+
+  // Stamps `data` with the next version, swaps it in as the published
+  // snapshot and retires the previous one. Callers hold mu_ exclusively.
+  void SwapInLocked(internal::SnapshotData* data);
 
   // Unpublishes and retires the current snapshot (destructor, move-out).
   void RetireSnapshot();
@@ -443,6 +549,9 @@ class Connectivity {
   // kSharedLock. Swapped only under mu_; loaded lock-free by readers.
   std::atomic<internal::SnapshotData*> snapshot_{nullptr};
   uint64_t publish_seq_ = 0;
+  // The pre-batch root of every endpoint inserted since the last
+  // publication (PublishBatchesLocked's candidates; duplicates allowed).
+  std::vector<NodeId> touched_;
 
   // Publication-cadence state (kSnapshot serving; see Spec::PublishEvery
   // and Spec::AdaptiveCadence). All mutated under mu_ exclusively.

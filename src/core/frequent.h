@@ -6,6 +6,7 @@
 #ifndef CONNECTIT_CORE_FREQUENT_H_
 #define CONNECTIT_CORE_FREQUENT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -29,6 +30,15 @@ FrequentResult IdentifyFrequentExact(const std::vector<NodeId>& labels);
 FrequentResult IdentifyFrequentSampled(const std::vector<NodeId>& labels,
                                        uint32_t num_samples = 1024,
                                        uint64_t seed = 7);
+
+// Every label holding at least `min_share` of `num_samples` uniformly
+// sampled positions (of all positions when there are no more than that),
+// most frequent first, at most `max_labels` of them; deterministic for a
+// fixed seed.
+std::vector<NodeId> FrequentLabelsSampled(const std::vector<NodeId>& labels,
+                                          double min_share, size_t max_labels,
+                                          uint32_t num_samples = 1024,
+                                          uint64_t seed = 7);
 
 }  // namespace connectit
 

@@ -112,12 +112,64 @@ class StreamingConnectivity {
   // Snapshot of the current connectivity labeling (fully compressed copy).
   virtual std::vector<NodeId> Labels() const = 0;
 
+  // The current root (label) of v. Call only between batches, from any
+  // number of threads: the walk points every vertex on v's path at the
+  // root, which changes the forest's shape but never its partition or its
+  // roots (logically const, like Labels()). The façade's O(batch)
+  // snapshot publication walks only the roots a batch may have absorbed.
+  virtual NodeId Root(NodeId v) const = 0;
+
   virtual NodeId num_nodes() const = 0;
+};
+
+// The state every streaming structure below shares: one parent forest
+// whose roots are the component labels. A root only ever loses root
+// status (unions link roots below other roots; path compression and
+// shortcutting only move non-roots), which is what lets a publication
+// compare roots across batches (see connectivity_index.h).
+class ParentForestStreaming : public StreamingConnectivity {
+ public:
+  std::vector<NodeId> Labels() const override {
+    // Compress the live forest in place (blocked path-halving in
+    // FullyCompressParents) before copying: later root walks stop
+    // re-walking chains this pass resolved. Safe between batches, and
+    // redirecting a vertex to its root preserves every unite rule's
+    // invariant (min-based: root <= v; JTB: its own finds perform the same
+    // redirect).
+    FullyCompressParents(labels_.data(), static_cast<NodeId>(labels_.size()));
+    return labels_;
+  }
+
+  NodeId Root(NodeId v) const override {
+    NodeId root = v;
+    for (NodeId p = AtomicLoadRelaxed(&labels_[root]); p != root;
+         p = AtomicLoadRelaxed(&labels_[root])) {
+      root = p;
+    }
+    while (v != root) {
+      const NodeId next = AtomicLoadRelaxed(&labels_[v]);
+      AtomicStore(&labels_[v], root);
+      v = next;
+    }
+    return root;
+  }
+
+  NodeId num_nodes() const override {
+    return static_cast<NodeId>(labels_.size());
+  }
+
+ protected:
+  explicit ParentForestStreaming(std::vector<NodeId> labels)
+      : labels_(std::move(labels)) {}
+
+  // mutable: Labels() and Root() compact the forest in place, which
+  // changes the representation but never the partition.
+  mutable std::vector<NodeId> labels_;
 };
 
 template <UniteOption kUnite, FindOption kFind,
           SpliceOption kSplice = SpliceOption::kNone>
-class UnionFindStreaming final : public StreamingConnectivity {
+class UnionFindStreaming final : public ParentForestStreaming {
  public:
   // Phase-concurrent variants (Rem + SpliceAtomic) must separate updates
   // from queries (Type (iii)); all others interleave them (Type (i)).
@@ -127,12 +179,12 @@ class UnionFindStreaming final : public StreamingConnectivity {
   // Skips AdoptSeedLabels — the identity is already normalized, and this
   // constructor sits inside bench timing loops.
   explicit UnionFindStreaming(NodeId n)
-      : labels_(IdentityLabels(n)), dsu_(labels_.data(), n) {}
+      : ParentForestStreaming(IdentityLabels(n)), dsu_(labels_.data(), n) {}
 
   // Warm start: adopts a static pass's labeling (any rooted forest; see
   // AdoptSeedLabels) so batch updates continue from that state.
   explicit UnionFindStreaming(std::vector<NodeId> seed)
-      : labels_(AdoptSeedLabels(std::move(seed))),
+      : ParentForestStreaming(AdoptSeedLabels(std::move(seed))),
         dsu_(labels_.data(), static_cast<NodeId>(labels_.size())) {}
 
   std::vector<uint8_t> ProcessBatch(
@@ -161,25 +213,7 @@ class UnionFindStreaming final : public StreamingConnectivity {
     return results;
   }
 
-  std::vector<NodeId> Labels() const override {
-    // Compress the live forest in place (blocked path-halving in
-    // FullyCompressParents) before copying: per-batch snapshot publication
-    // stops re-walking chains an earlier publication already resolved.
-    // Safe between batches, and redirecting a vertex to its root preserves
-    // every unite rule's invariant (min-based: root <= v; JTB: its own
-    // finds perform the same redirect).
-    FullyCompressParents(labels_.data(), static_cast<NodeId>(labels_.size()));
-    return labels_;
-  }
-
-  NodeId num_nodes() const override {
-    return static_cast<NodeId>(labels_.size());
-  }
-
  private:
-  // mutable: Labels() compacts the forest in place, which changes the
-  // representation but never the partition (logically const).
-  mutable std::vector<NodeId> labels_;
   Dsu<kUnite, kFind, kSplice> dsu_;
 };
 
@@ -204,14 +238,15 @@ inline bool SameSetByWalk(const std::vector<NodeId>& parents, NodeId u,
   }
 }
 
-class ShiloachVishkinStreaming final : public StreamingConnectivity {
+class ShiloachVishkinStreaming final : public ParentForestStreaming {
  public:
   // Cold start: the identity-seeded special case.
-  explicit ShiloachVishkinStreaming(NodeId n) : labels_(IdentityLabels(n)) {}
+  explicit ShiloachVishkinStreaming(NodeId n)
+      : ParentForestStreaming(IdentityLabels(n)) {}
 
   // Warm start from a static pass's labeling (see AdoptSeedLabels).
   explicit ShiloachVishkinStreaming(std::vector<NodeId> seed)
-      : labels_(AdoptSeedLabels(std::move(seed))) {}
+      : ParentForestStreaming(AdoptSeedLabels(std::move(seed))) {}
 
   std::vector<uint8_t> ProcessBatch(
       const std::vector<Edge>& updates,
@@ -224,30 +259,19 @@ class ShiloachVishkinStreaming final : public StreamingConnectivity {
     return results;
   }
 
-  std::vector<NodeId> Labels() const override {
-    // In-place compression before the copy; see UnionFindStreaming::Labels.
-    FullyCompressParents(labels_.data(), static_cast<NodeId>(labels_.size()));
-    return labels_;
-  }
-
-  NodeId num_nodes() const override {
-    return static_cast<NodeId>(labels_.size());
-  }
-
- private:
-  mutable std::vector<NodeId> labels_;
 };
 
 // Root-based Liu-Tarjan variants in the streaming setting (Type (ii)).
 template <LtConnect kConnect, LtShortcut kShortcut, LtAlter kAlter>
-class LiuTarjanStreaming final : public StreamingConnectivity {
+class LiuTarjanStreaming final : public ParentForestStreaming {
  public:
   // Cold start: the identity-seeded special case.
-  explicit LiuTarjanStreaming(NodeId n) : labels_(IdentityLabels(n)) {}
+  explicit LiuTarjanStreaming(NodeId n)
+      : ParentForestStreaming(IdentityLabels(n)) {}
 
   // Warm start from a static pass's labeling (see AdoptSeedLabels).
   explicit LiuTarjanStreaming(std::vector<NodeId> seed)
-      : labels_(AdoptSeedLabels(std::move(seed))) {}
+      : ParentForestStreaming(AdoptSeedLabels(std::move(seed))) {}
 
   std::vector<uint8_t> ProcessBatch(
       const std::vector<Edge>& updates,
@@ -283,18 +307,6 @@ class LiuTarjanStreaming final : public StreamingConnectivity {
     return results;
   }
 
-  std::vector<NodeId> Labels() const override {
-    // In-place compression before the copy; see UnionFindStreaming::Labels.
-    FullyCompressParents(labels_.data(), static_cast<NodeId>(labels_.size()));
-    return labels_;
-  }
-
-  NodeId num_nodes() const override {
-    return static_cast<NodeId>(labels_.size());
-  }
-
- private:
-  mutable std::vector<NodeId> labels_;
 };
 
 }  // namespace connectit

@@ -430,10 +430,11 @@ bool Server::DispatchFrame(size_t worker_index, Worker& worker,
         max_entries = std::min(max_entries, kMaxSizesEntries);
         worker.sizes_scratch.clear();
         if (snap.valid()) {
-          const std::vector<NodeId>& sizes = snap.ComponentSizes();
+          // Point lookups, so a read never builds the n-sized array.
           for (NodeId v = 0; v < n && worker.sizes_scratch.size() <
                                           max_entries; ++v) {
-            if (sizes[v] != 0) worker.sizes_scratch.push_back({v, sizes[v]});
+            const NodeId size = snap.ComponentSize(v);
+            if (size != 0) worker.sizes_scratch.push_back({v, size});
           }
         }
         AppendComponentSizesResponse(id, Status::kOk, snap.NumComponents(),

@@ -99,12 +99,16 @@ struct ServingSnapshot {
   uint64_t snapshots_reclaimed = 0;    // blocks actually freed
   uint64_t label_refreshes = 0;        // shared-lock-mode lazy Θ(n) refreshes
   // ---- publication cadence (Connectivity Spec::PublishEvery/
-  // AdaptivePublication): batches the cadence held back, the cumulative
-  // Θ(n) publication cost that justifies holding them back, and the k the
+  // AdaptiveCadence): batches the cadence held back, the cumulative
+  // publication cost that justifies holding them back, and the k the
   // adaptive policy last chose (a gauge, not a sum) ----
   uint64_t publication_skips = 0;      // Insert batches not published
-  uint64_t publication_cost_us = 0;    // total µs spent materializing+swapping
+  uint64_t publication_cost_us = 0;    // total µs spent publishing batches
   uint64_t publication_cadence_k = 1;  // last cadence used (gauge)
+  // ---- base-plus-overlay publication of Insert batches ----
+  uint64_t overlay_publications = 0;  // batches published as an overlay
+  uint64_t compactions = 0;           // batches published as a fresh base
+  uint64_t overlay_entries_hwm = 0;   // largest overlay published (gauge)
   // ---- batch-deletion path (Connectivity::Erase / DynamicForest) ----
   uint64_t erase_batches = 0;          // Erase calls applied
   uint64_t edges_erased = 0;           // edges actually removed
@@ -128,6 +132,9 @@ inline std::atomic<uint64_t> g_label_refreshes{0};
 inline std::atomic<uint64_t> g_publication_skips{0};
 inline std::atomic<uint64_t> g_publication_cost_us{0};
 inline std::atomic<uint64_t> g_publication_cadence_k{1};
+inline std::atomic<uint64_t> g_overlay_publications{0};
+inline std::atomic<uint64_t> g_compactions{0};
+inline std::atomic<uint64_t> g_overlay_entries_hwm{0};
 inline std::atomic<uint64_t> g_erase_batches{0};
 inline std::atomic<uint64_t> g_edges_erased{0};
 inline std::atomic<uint64_t> g_erase_misses{0};
@@ -155,12 +162,27 @@ inline void RecordLabelRefresh() {
 inline void RecordPublicationSkip() {
   internal::g_publication_skips.fetch_add(1, std::memory_order_relaxed);
 }
-// One publication's measured Θ(n) cost and the cadence in force when it ran.
+// One batch publication's measured cost and the cadence in force when it
+// ran.
 inline void RecordPublicationCost(uint64_t micros, uint64_t cadence_k) {
   internal::g_publication_cost_us.fetch_add(micros,
                                             std::memory_order_relaxed);
   internal::g_publication_cadence_k.store(cadence_k,
                                           std::memory_order_relaxed);
+}
+// One batch publication that extended the overlay to `entries` entries.
+inline void RecordOverlayPublication(uint64_t entries) {
+  internal::g_overlay_publications.fetch_add(1, std::memory_order_relaxed);
+  uint64_t hwm =
+      internal::g_overlay_entries_hwm.load(std::memory_order_relaxed);
+  while (entries > hwm &&
+         !internal::g_overlay_entries_hwm.compare_exchange_weak(
+             hwm, entries, std::memory_order_relaxed)) {
+  }
+}
+// One batch publication that compacted into a fresh base.
+inline void RecordCompaction() {
+  internal::g_compactions.fetch_add(1, std::memory_order_relaxed);
 }
 // One call per applied Erase batch, with that batch's deletion tallies
 // (see DynamicForest::EraseStats for the field semantics).
@@ -197,6 +219,11 @@ inline ServingSnapshot ReadServing() {
       internal::g_publication_cost_us.load(std::memory_order_relaxed);
   s.publication_cadence_k =
       internal::g_publication_cadence_k.load(std::memory_order_relaxed);
+  s.overlay_publications =
+      internal::g_overlay_publications.load(std::memory_order_relaxed);
+  s.compactions = internal::g_compactions.load(std::memory_order_relaxed);
+  s.overlay_entries_hwm =
+      internal::g_overlay_entries_hwm.load(std::memory_order_relaxed);
   s.erase_batches = internal::g_erase_batches.load(std::memory_order_relaxed);
   s.edges_erased = internal::g_edges_erased.load(std::memory_order_relaxed);
   s.erase_misses = internal::g_erase_misses.load(std::memory_order_relaxed);
@@ -220,6 +247,9 @@ inline void ResetServing() {
   internal::g_publication_skips.store(0, std::memory_order_relaxed);
   internal::g_publication_cost_us.store(0, std::memory_order_relaxed);
   internal::g_publication_cadence_k.store(1, std::memory_order_relaxed);
+  internal::g_overlay_publications.store(0, std::memory_order_relaxed);
+  internal::g_compactions.store(0, std::memory_order_relaxed);
+  internal::g_overlay_entries_hwm.store(0, std::memory_order_relaxed);
   internal::g_erase_batches.store(0, std::memory_order_relaxed);
   internal::g_edges_erased.store(0, std::memory_order_relaxed);
   internal::g_erase_misses.store(0, std::memory_order_relaxed);

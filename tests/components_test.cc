@@ -104,6 +104,28 @@ TEST_F(FusedSizesPass, WrongFrequentGuessStaysExact) {
   ExpectExact(labels);
 }
 
+TEST_F(FusedSizesPass, ThreeHeavyLabelsCountedExactly) {
+  // The mixture's shape: labels holding 50%, 25% and 12.5% of the
+  // vertices, interleaved so every block sees all three, and singletons.
+  constexpr NodeId kN = 1u << 16;
+  std::vector<NodeId> labels(kN);
+  for (NodeId v = 0; v < kN; ++v) {
+    const NodeId r = v % 8;
+    labels[v] = r < 4 ? 0 : r < 6 ? 4 : r == 6 ? 6 : v;
+  }
+  EXPECT_EQ(FrequentLabelsSampled(labels, kHeavyLabelShare, kMaxHeavyLabels),
+            (std::vector<NodeId>{0, 4, 6}));
+  NodeId count = 0;
+  const std::vector<NodeId> sizes = ComponentSizes(labels, &count);
+  EXPECT_EQ(sizes[0], kN / 2);
+  EXPECT_EQ(sizes[4], kN / 4);
+  EXPECT_EQ(sizes[6], kN / 8);
+  EXPECT_EQ(sizes[7], 1u);
+  EXPECT_EQ(sizes[1], 0u);
+  EXPECT_EQ(count, 3 + kN / 8);
+  ExpectExact(labels);
+}
+
 TEST(Components, DenseIdsAreDenseAndConsistent) {
   const Graph g = GenerateComponentMixture(500, 4, 9);
   const auto labels = LabelsOf(g);

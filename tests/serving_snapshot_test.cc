@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -435,6 +437,124 @@ TEST(ServingSnapshot, DefaultSpecPublishesEveryBatch) {
     version = now;
   }
   EXPECT_EQ(stats::ReadServing().publication_skips, skips_before);
+}
+
+// ---- base-plus-overlay publication ----
+
+// Every read of `snap` equals a full recompute: `labels` is a fully
+// compressed labeling of the streaming structure (a kSharedLock twin's
+// Labels()), and sizes and count come from connectit::ComponentSizes.
+void ExpectMatchesFullRecompute(const Snapshot& snap,
+                                const std::vector<NodeId>& labels,
+                                const std::string& what) {
+  NodeId count = 0;
+  const std::vector<NodeId> sizes = ComponentSizes(labels, &count);
+  const NodeId n = static_cast<NodeId>(labels.size());
+  ASSERT_EQ(snap.num_nodes(), n) << what;
+  ASSERT_EQ(snap.NumComponents(), count) << what;
+  // Point reads first, so the lazily built arrays cannot mask them.
+  std::vector<NodeId> components(n), component_sizes(n);
+  std::vector<uint8_t> same(n), expected_same(n);
+  for (NodeId v = 0; v < n; ++v) {
+    components[v] = snap.Component(v);
+    component_sizes[v] = snap.ComponentSize(v);
+    const NodeId u = static_cast<NodeId>((uint64_t{v} * 7919 + 13) % n);
+    same[v] = snap.SameComponent(u, v);
+    expected_same[v] = labels[u] == labels[v];
+  }
+  ASSERT_EQ(components, labels) << what;
+  ASSERT_EQ(component_sizes, sizes) << what;
+  ASSERT_EQ(same, expected_same) << what;
+  ASSERT_EQ(snap.Labels(), labels) << what;
+  ASSERT_EQ(snap.ComponentSizes(), sizes) << what;
+}
+
+// Streams random Insert batches, Flushes and Erases into an index and into
+// a kSharedLock twin, whose Labels() recompute the labeling in full, and
+// requires the index's snapshot to answer every read exactly like the
+// recompute after every operation. Small n, so the overlay passes
+// n / kOverlayShare several times; a snapshot pinned early must answer
+// exactly as it did, across those compactions.
+void RunOverlayDifferential(const Variant& variant, uint32_t publish_every) {
+  constexpr NodeId kN = 1024;
+  constexpr size_t kBatch = 8;
+  std::mt19937_64 rng(publish_every);
+  auto random_edge = [&] {
+    return Edge{static_cast<NodeId>(rng() % kN),
+                static_cast<NodeId>(rng() % kN)};
+  };
+  EdgeList base;
+  base.num_nodes = kN;
+  for (NodeId i = 0; i < kN / 4; ++i) base.edges.push_back(random_edge());
+  const auto spec = Connectivity::Spec()
+                        .Algorithm(variant.descriptor)
+                        .PublishEvery(publish_every);
+  Connectivity index(spec);
+  Connectivity full(
+      Connectivity::Spec(spec).Serving(ServingMode::kSharedLock));
+  index.Build(GraphHandle(base)).Stream();
+  full.Build(GraphHandle(base)).Stream();
+  std::vector<Edge> inserted = base.edges;
+
+  const std::string name = variant.name + " k=" + std::to_string(publish_every);
+  const stats::ServingSnapshot before = stats::ReadServing();
+  std::vector<NodeId> published = full.Labels();
+  uint64_t version = index.Acquire().version();
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMatchesFullRecompute(index.Acquire(), published, name));
+  Snapshot pinned;
+  std::vector<NodeId> pinned_labels;
+  uint64_t compactions_at_pin = 0;
+  for (int step = 0; step < 64; ++step) {
+    const std::string what = name + " step=" + std::to_string(step);
+    if (step % 16 == 15) {
+      std::vector<Edge> victims;
+      for (size_t i = 0; i < kBatch; ++i) {
+        victims.push_back(inserted[rng() % inserted.size()]);
+      }
+      index.Erase(victims);
+      full.Erase(victims);
+    } else if (step % 8 == 7) {
+      index.Flush();
+    } else {
+      std::vector<Edge> batch;
+      for (size_t i = 0; i < kBatch; ++i) batch.push_back(random_edge());
+      inserted.insert(inserted.end(), batch.begin(), batch.end());
+      index.Insert(batch);
+      full.Insert(batch);
+    }
+    const Snapshot snap = index.Acquire();
+    // A publication serves the whole current state, held-back batches
+    // included; without one the previous publication stands.
+    if (snap.version() != version) published = full.Labels();
+    version = snap.version();
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesFullRecompute(snap, published, what));
+    if (step == 12) {
+      pinned = snap;
+      pinned_labels = published;
+      compactions_at_pin = stats::ReadServing().compactions;
+    }
+  }
+  const stats::ServingSnapshot after = stats::ReadServing();
+  EXPECT_GE(after.compactions - compactions_at_pin, 2u) << name;
+  EXPECT_GE(after.overlay_publications - before.overlay_publications, 5u)
+      << name;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMatchesFullRecompute(pinned, pinned_labels, name + " pinned"));
+  index.Flush();
+  EXPECT_EQ(index.Labels(), full.Labels()) << name;
+}
+
+TEST(OverlayPublication, EveryReadMatchesFullRecomputeAcrossVariants) {
+  for (const Variant* v : StreamingVariants()) {
+    ASSERT_NO_FATAL_FAILURE(RunOverlayDifferential(*v, 1));
+  }
+}
+
+TEST(OverlayPublication, HeldBackBatchesAllReachTheOverlay) {
+  for (const Variant* v : StreamingVariants()) {
+    ASSERT_NO_FATAL_FAILURE(RunOverlayDifferential(*v, 4));
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/connectivity_index.h"
 #include "src/core/registry.h"
 #include "src/unionfind/find.h"
 #include "src/graph/generators.h"
@@ -92,6 +93,46 @@ TEST(Counters, RoundBasedAlgorithmsCountRounds) {
   stats::ScopedEnable scope;
   lt->run(g, {});
   EXPECT_GT(stats::Read().rounds, 1u);
+}
+
+// Insert publications extend the overlay until it passes n /
+// kOverlayShare entries; the next one compacts. Each batch {2i, 2i + 1}
+// absorbs one root and grows another: two entries per batch.
+TEST(ServingCounters, OverlayPublicationsCompactionsAndHighWaterMark) {
+  constexpr NodeId kN = 1024;
+  constexpr uint64_t kLimit = kN / Connectivity::kOverlayShare;
+  stats::ResetServing();
+  Connectivity index;
+  index.Stream(kN);
+  uint64_t batches = 0;
+  auto insert_pair = [&] {
+    const NodeId u = static_cast<NodeId>(2 * batches++);
+    index.Insert({{u, u + 1}});
+  };
+  // Batch b publishes over an overlay of 2(b - 1) entries.
+  while (2 * batches <= kLimit) insert_pair();
+  stats::ServingSnapshot s = stats::ReadServing();
+  EXPECT_EQ(s.overlay_publications, batches);
+  EXPECT_EQ(s.compactions, 0u);
+  EXPECT_EQ(s.overlay_entries_hwm, 2 * batches);
+  EXPECT_EQ(s.publication_skips, 0u);
+  const uint64_t hwm = s.overlay_entries_hwm;
+  insert_pair();  // the overlay has passed the limit: this one compacts
+  s = stats::ReadServing();
+  EXPECT_EQ(s.overlay_publications, batches - 1);
+  EXPECT_EQ(s.compactions, 1u);
+  insert_pair();  // a fresh overlay: two entries, the gauge stays
+  s = stats::ReadServing();
+  EXPECT_EQ(s.overlay_publications, batches - 1);
+  EXPECT_EQ(s.compactions, 1u);
+  EXPECT_EQ(s.overlay_entries_hwm, hwm);
+  // Constructor, Stream and one publication per batch.
+  EXPECT_EQ(s.snapshot_publications, 2 + batches);
+  const Snapshot snap = index.Acquire();
+  EXPECT_EQ(snap.NumComponents(), kN - batches);
+  EXPECT_EQ(snap.ComponentSize(0), 2u);
+  EXPECT_EQ(snap.ComponentSize(1), 0u);
+  EXPECT_EQ(snap.Component(2 * batches - 1), 2 * batches - 2);
 }
 
 }  // namespace
